@@ -1,8 +1,9 @@
 """Build script.
 
 The package works as pure Python; the optional extension module
-``motzkinrank._kernels`` compiles the hot loops (series convolution, the
-path-counting DP step, and the two elimination routines) with Cython.
+``motzkinrank._kernels`` compiles three hot loops (series convolution and
+the two elimination routines) with Cython; the path-counting DP is pure
+Python on both backends.
 Set MOTZKINRANK_NO_EXT=1 to skip building the extension entirely.
 """
 

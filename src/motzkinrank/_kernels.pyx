@@ -1,9 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernels.
 
-Cython twin of ``_kernels_py``; see that module for the contracts.  The
+Cython twin of ``_kernels_py`` for three of its four kernels; see that
+module for the contracts.  The counting DP ``dp_rows`` has no twin: the
+pure kernel adds whole slices, so a compiled loop gains little.  The
 mod-p echelon runs on a flat C buffer with 128-bit products (the fixed
-primes are below 2**61, so products never overflow); the other three
+primes are below 2**61, so products never overflow); the other two
 kernels keep Python object arithmetic (the operands are big integers)
 but move all loop bookkeeping to C.
 """
@@ -37,38 +39,6 @@ def conv_trunc(a, b, int n):
             if bj:
                 out[i + j] = out[i + j] + ai * bj
     return out
-
-
-def dp_rows(deltas, weights, int n, int start, caps):
-    """Forward DP over weighted steps with a per-row height cap."""
-    cdef list D = deltas if type(deltas) is list else list(deltas)
-    cdef list W = weights if type(weights) is list else list(weights)
-    cdef list C = caps if type(caps) is list else list(caps)
-    cdef int nsteps = len(D)
-    cdef int i, k, h, d, lo, hi, cap, prevcap
-    cdef list rows = []
-    cdef list prev, cur
-    cap = C[0]
-    cur = [0] * (cap + 1)
-    if 0 <= start <= cap:
-        cur[start] = 1
-    rows.append(cur)
-    for i in range(1, n + 1):
-        cap = C[i]
-        prevcap = C[i - 1]
-        prev = rows[i - 1]
-        cur = [0] * (cap + 1)
-        for k in range(nsteps):
-            d = D[k]
-            w = W[k]
-            lo = d if d > 0 else 0
-            hi = cap if cap < prevcap + d else prevcap + d
-            for h in range(lo, hi + 1):
-                v = prev[h - d]
-                if v:
-                    cur[h] = cur[h] + v * w
-        rows.append(cur)
-    return rows
 
 
 cdef inline u64 _modpow(u64 base, u64 exp, u64 p):

@@ -3,10 +3,15 @@
 These four loops dominate the runtime of the whole package: truncated
 series convolution, the weighted lattice-path DP step, row echelon mod a
 word-sized prime, and fraction-free (Bareiss) row echelon over the
-integers.  ``motzkinrank._kernels`` is a Cython twin with identical
-semantics; ``backend.py`` picks whichever is importable.  Both versions
-must give bit-identical results on the same inputs.
+integers.  ``motzkinrank._kernels`` is a Cython twin of the other
+three kernels with identical semantics; ``backend.py`` picks whichever
+is importable.  Both versions must give bit-identical results on the
+same inputs.  The DP has no twin: it adds whole slices per run of step
+types, so its loops already run in C.
 """
+
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 BACKEND = "pure"
 
@@ -37,30 +42,56 @@ def dp_rows(deltas, weights, n, start, caps):
 
     deltas and weights are parallel lists describing the step set; caps
     has length n+1 and caps[i] bounds the height kept after i steps.
-    Returns n+1 rows, row i of length caps[i]+1, whose entry at height h
-    is the total weight of length-i paths from ``start`` to h that stay
-    at heights >= 0 and within the caps.
+    Returns n+1 rows; row i holds, at each height h <= min(caps[i],
+    caps[n]), the total weight of length-i paths from ``start`` to h
+    that stay at heights >= 0 and within the caps.  Only the previous
+    row is kept in full, so memory is one full row plus the returned
+    rows cut at caps[n].
+
+    Steps are added to the next row by slices.  Step types of one weight
+    with consecutive displacements d1..d2 form a run, whose slice holds
+    the window sums prev[h-d2] + ... + prev[h-d1], read off prefix sums
+    of the previous row: the all-ones step set is a single run, so a
+    row costs three passes (prefix sums, window differences, the add)
+    whatever the rank.
     """
-    first = [0] * (caps[0] + 1)
+    keep = caps[n] + 1
+    prev = [0] * (caps[0] + 1)
     if 0 <= start <= caps[0]:
-        first[start] = 1
-    rows = [first]
-    nsteps = len(deltas)
+        prev[start] = 1
+    rows = [prev[:keep]]
+    runs = []
+    for d, w in sorted(zip(deltas, weights)):
+        if w and runs and runs[-1][1] == d - 1 and runs[-1][2] == w:
+            runs[-1][1] = d
+        elif w:
+            runs.append([d, d, w])
+    pad = max((max(-d1, d2) for d1, d2, _ in runs if d1 < d2), default=None)
     for i in range(1, n + 1):
         cap = caps[i]
         prevcap = caps[i - 1]
-        prev = rows[i - 1]
+        if pad is not None:
+            # psum[pad + k] = prev[0] + ... + prev[k-1], -pad <= k <= prevcap + 2*pad + 1
+            psum = [0] * (pad + 1)
+            psum += accumulate(prev)
+            psum += repeat(psum[-1], 2 * pad)
         cur = [0] * (cap + 1)
-        for k in range(nsteps):
-            d = deltas[k]
-            w = weights[k]
-            lo = d if d > 0 else 0
-            hi = min(cap, prevcap + d)
-            for h in range(lo, hi + 1):
-                v = prev[h - d]
-                if v:
-                    cur[h] += v * w
-        rows.append(cur)
+        for d1, d2, w in runs:
+            lo = d1 if d1 > 0 else 0
+            hi = min(cap, prevcap + d2)
+            if hi < lo:
+                continue
+            if d1 == d2:
+                seg = prev[lo - d1 : hi - d1 + 1]
+            else:
+                a = pad + 1 - d1
+                b = pad - d2
+                seg = map(sub, psum[lo + a : hi + a + 1], psum[lo + b : hi + b + 1])
+            if w != 1:
+                seg = map(mul, repeat(w), seg)
+            cur[lo : hi + 1] = map(add, cur[lo : hi + 1], seg)
+        rows.append(cur[:keep])
+        prev = cur
     return rows
 
 

@@ -4,6 +4,10 @@ The workhorse is a forward DP over heights with exact big integers.  A
 path of length n from height s to height t can never climb above
 min(s + r*i, t + r*(n - i)) after i steps, so each DP row is capped
 there; one forward run therefore serves every length up to n at once.
+Only heights up to min(s + r*n, t) are ever read, so the DP keeps one
+full row and returns every row cut there: O(n*(t+1)) big integers
+returned plus one row of at most (s + t + r*n)/2 + 1, in place of all
+n+1 full rows (O(n^2 * r)).
 
 Rank-1 counts have two independent cross-checks: the closed form
 
@@ -21,25 +25,15 @@ from __future__ import annotations
 
 from math import comb
 
-from . import backend
 from .errors import InvalidSpec, NonIntegralStep
-from .paths import WeightSpec
-
-
-def _dp_run(spec, n, start, end_for_caps):
-    r = spec.rank
-    types = [(d, w) for d, w in spec.step_types() if w > 0]
-    caps = [min(start + r * i, end_for_caps + r * (n - i)) for i in range(n + 1)]
-    return backend.dp_rows(
-        [d for d, _ in types], [w for _, w in types], n, start, caps
-    )
+from .paths import WeightSpec, capped_dp_rows
 
 
 def count_paths_dp(spec: WeightSpec, n: int, start: int = 0, end: int = 0) -> int:
     """Number of colored length-n paths from ``start`` to ``end``."""
     if n < 0 or start < 0 or end < 0:
         raise InvalidSpec("n, start, end must be nonnegative")
-    last = _dp_run(spec, n, start, end)[n]
+    last = capped_dp_rows(spec, n, start, end)[n]
     return last[end] if end < len(last) else 0
 
 
@@ -52,7 +46,7 @@ def count_sequence(spec: WeightSpec, n_max: int, start: int = 0, end: int = 0) -
     """
     if n_max < 0 or start < 0 or end < 0:
         raise InvalidSpec("n_max, start, end must be nonnegative")
-    rows = _dp_run(spec, n_max, start, end)
+    rows = capped_dp_rows(spec, n_max, start, end)
     return [row[end] if end < len(row) else 0 for row in rows]
 
 
@@ -66,7 +60,7 @@ class CountTable:
         self.n_max = n_max
         self.start_max = start_max
         self.end_max = end_max
-        self._rows = {s: _dp_run(spec, n_max, s, end_max) for s in range(start_max + 1)}
+        self._rows = {s: capped_dp_rows(spec, n_max, s, end_max) for s in range(start_max + 1)}
 
     def value(self, n, s, t) -> int:
         if not (0 <= n <= self.n_max and 0 <= s <= self.start_max and 0 <= t <= self.end_max):

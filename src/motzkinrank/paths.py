@@ -227,16 +227,26 @@ def path_weight(path: ColoredPath) -> int:
     return path.weight()
 
 
-def _predicted_count(spec, n, start, end, colored):
-    # Same DP as counting.count_paths_dp, inlined here so the guard does
-    # not need a circular import.
+def capped_dp_rows(spec, n, start, end, colored=True):
+    """Rows 0..n of the capped counting DP from height ``start``.
+
+    Row i is capped at min(start + r*i, end + r*(n - i)), the highest a
+    length-n path from ``start`` to ``end`` can be after i steps, and is
+    returned cut at heights <= min(start + r*n, end).  Entry h of row i
+    is the number of colored length-i paths from ``start`` to h, or of
+    uncolored ones with ``colored`` unset.  ``counting`` and the
+    enumeration guards below share this one DP.
+    """
     r = spec.rank
     types = [(d, w if colored else 1) for d, w in spec.step_types() if w > 0]
     caps = [min(start + r * i, end + r * (n - i)) for i in range(n + 1)]
-    rows = backend.dp_rows(
+    return backend.dp_rows(
         [d for d, _ in types], [w for _, w in types], n, start, caps
     )
-    last = rows[n]
+
+
+def _predicted_count(spec, n, start, end, colored):
+    last = capped_dp_rows(spec, n, start, end, colored)[n]
     return last[end] if end < len(last) else 0
 
 

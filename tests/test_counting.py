@@ -1,8 +1,13 @@
 """Dynamic-programming counters against enumeration and known sequences."""
 
+import functools
+import random
+
 import pytest
 
 import motzkinrank as mr
+from motzkinrank import backend
+from motzkinrank.paths import capped_dp_rows
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188]
 
@@ -79,3 +84,104 @@ def test_large_n_counts_are_exact():
     seq = mr.count_sequence(mr.WeightSpec.all_ones(2), 120)
     assert seq[120] == mr.generating_series(mr.WeightSpec.all_ones(2), 121)[120]
     assert seq[120] > 10**55
+
+
+def _reference_rows(deltas, weights, n, start, caps):
+    # Full rows, one height at a time; the kernel must agree with them on
+    # every height it returns.
+    first = [0] * (caps[0] + 1)
+    if 0 <= start <= caps[0]:
+        first[start] = 1
+    rows = [first]
+    for i in range(1, n + 1):
+        cur = [0] * (caps[i] + 1)
+        for d, w in zip(deltas, weights):
+            for h in range(max(d, 0), min(caps[i], caps[i - 1] + d) + 1):
+                cur[h] += rows[i - 1][h - d] * w
+        rows.append(cur)
+    return rows
+
+
+def _random_spec(rng):
+    # Weights 0..4, half of them 0, so that some specs stay small enough
+    # to enumerate at n = 12.
+    def weight():
+        return rng.choice((0, 0, 0, 0, 1, 2, 3, 4))
+
+    rank = rng.randint(1, 3)
+    return mr.WeightSpec(
+        tuple(weight() for _ in range(rank)), weight(), tuple(weight() for _ in range(rank))
+    )
+
+
+def test_dp_rows_returns_rows_cut_at_last_cap():
+    rng = random.Random(5)
+    for _ in range(300):
+        spec = _random_spec(rng)
+        r = spec.rank
+        start, end, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 12)
+        deltas = [d for d, _ in spec.step_types()]
+        weights = [w for _, w in spec.step_types()]
+        for caps in (
+            [min(start + r * i, end + r * (n - i)) for i in range(n + 1)],
+            [max(start, rng.randint(0, 3 * r)) for _ in range(n + 1)],
+        ):
+            got = backend.dp_rows(deltas, weights, n, start, caps)
+            want = _reference_rows(deltas, weights, n, start, caps)
+            assert len(got) == n + 1
+            for i, row in enumerate(got):
+                assert len(row) == min(caps[i], caps[n]) + 1, (spec, start, caps, i)
+                assert row == want[i][: caps[n] + 1], (spec, start, caps, i)
+
+
+def test_counts_match_enumeration_on_random_specs():
+    rng = random.Random(6)
+    for case in range(150):
+        spec = _random_spec(rng)
+        r = spec.rank
+        start, end = rng.randint(0, 3), rng.randint(0, 3)
+        n = 0 if case % 10 == 0 else rng.randint(0, 12)
+        deltas = [d for d, _ in spec.step_types()]
+        weights = [w for _, w in spec.step_types()]
+        # Enumeration walks at most every colored prefix that stays >= 0,
+        # so the uncapped reference rows bound its work; n shrinks until
+        # the (n+1)(end+1) walks from each start stay cheap.
+        while n:
+            prefixes = sum(
+                sum(map(sum, _reference_rows(deltas, weights, n, s, [s + r * i for i in range(n + 1)])))
+                for s in range(start + 1)
+            )
+            if (n + 1) * (end + 1) * prefixes <= 100_000:
+                break
+            n -= 1
+
+        @functools.cache
+        def enum(m, s, t, colored=True):
+            return len(mr.enumerate_paths(spec, m, start=s, end=t, colored=colored))
+
+        counts = [enum(m, start, end) for m in range(n + 1)]
+        assert mr.count_sequence(spec, n, start=start, end=end) == counts, (spec, start, end)
+        assert mr.count_paths_dp(spec, n, start=start, end=end) == counts[n]
+        table = mr.CountTable(spec, n, start_max=start, end_max=end)
+        for m in range(n + 1):
+            for s in range(start + 1):
+                for t in range(end + 1):
+                    assert table.value(m, s, t) == enum(m, s, t), (spec, m, s, t)
+        last = capped_dp_rows(spec, n, start, end, colored=False)[n]
+        uncolored = last[end] if end < len(last) else 0
+        assert uncolored == enum(n, start, end, colored=False)
+
+
+def test_rows_stop_short_of_unreachable_end():
+    spec = mr.WeightSpec.all_ones(1)
+    # start + r*n < end: no row reaches height `end`, and every count is 0
+    rows = capped_dp_rows(spec, 2, 0, 3)
+    assert [len(row) for row in rows] == [1, 2, 3]
+    assert mr.count_sequence(spec, 2, start=0, end=3) == [0, 0, 0]
+    assert mr.count_paths_dp(spec, 2, start=0, end=3) == 0
+    assert mr.CountTable(spec, 2, end_max=3).value(2, 0, 3) == 0
+    # n = 0: the single empty path, and only when start == end
+    assert capped_dp_rows(spec, 0, 2, 2) == [[0, 0, 1]]
+    assert mr.count_sequence(spec, 0, start=2, end=2) == [1]
+    assert mr.count_paths_dp(spec, 0, start=1, end=2) == 0
+    assert mr.CountTable(spec, 0, start_max=2, end_max=2).value(0, 2, 2) == 1

@@ -55,21 +55,6 @@ def test_conv_trunc_parity():
 
 
 @needs_ext
-def test_dp_rows_parity():
-    rng = random.Random(2)
-    for _ in range(20):
-        rank = rng.randint(1, 3)
-        deltas = tuple(range(1, rank + 1)) + (0,) + tuple(range(-1, -rank - 1, -1))
-        weights = tuple(rng.randint(0, 4) for _ in deltas)
-        n = rng.randint(0, 12)
-        start = rng.randint(0, 2)
-        caps = [max(start, rng.randint(0, 3 * rank)) for _ in range(n + 1)]
-        assert pure.dp_rows(deltas, weights, n, start, caps) == compiled.dp_rows(
-            deltas, weights, n, start, caps
-        )
-
-
-@needs_ext
 def test_modp_echelon_parity():
     rng = random.Random(3)
     for p in (97, PRIMES61[0], PRIMES61[-1]):
