@@ -67,7 +67,6 @@ from .paths import (
     WeightSpec,
     enumerate_paths,
     find_pairs,
-    path_weight,
     recolor_bijection,
     recolor_inverse,
     recoloring_report,
@@ -129,7 +128,6 @@ __all__ = [
     "minimality_scan",
     "motzkin_recurrence",
     "multiply_equations",
-    "path_weight",
     "prodinger_recurrence",
     "rank1_closed_form_series",
     "rank1_explicit",

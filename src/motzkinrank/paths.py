@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 
 from . import backend
 from .errors import (
@@ -223,10 +225,6 @@ class ColoredPath:
         return cls(spec, tuple(Step(d, c) for d, c in pairs), start_height)
 
 
-def path_weight(path: ColoredPath) -> int:
-    return path.weight()
-
-
 def capped_dp_rows(spec, n, start, end, colored=True):
     """Rows 0..n of the capped counting DP from height ``start``.
 
@@ -252,9 +250,15 @@ def _predicted_count(spec, n, start, end, colored):
 
 def _iter_step_vectors(spec, n, start, end, colored):
     """Yield step vectors as tuples of (displacement, color) pairs, in
-    lexicographic order by (displacement, color)."""
+    lexicographic order by (displacement, color).
+
+    A prefix is cut as soon as ``end`` lies farther away than the
+    remaining steps can climb or drop with the largest up and down
+    displacements of positive weight.
+    """
     types = [(d, w) for d, w in spec.step_types() if w > 0]
-    r = spec.rank
+    rise = max([d for d, _ in types if d > 0], default=0)
+    fall = max([-d for d, _ in types if d < 0], default=0)
     buf = []
 
     def walk(h, i):
@@ -265,7 +269,7 @@ def _iter_step_vectors(spec, n, start, end, colored):
         rem = n - i - 1
         for d, w in types:
             nh = h + d
-            if nh < 0 or abs(nh - end) > r * rem:
+            if nh < 0 or nh - end > fall * rem or end - nh > rise * rem:
                 continue
             if colored:
                 for c in range(1, w + 1):
@@ -349,23 +353,32 @@ def find_pairs(path: ColoredPath) -> PairMatching:
     return PairMatching(path, tuple(pairs))
 
 
+def _pair_color(a, b, d):
+    """The pair map: up color a and down color b (of d) of a matched pair
+    become the down color (a-1)*d + b of the collapsed pair."""
+    return (a - 1) * d + b
+
+
+def _split_color(c, d):
+    """Inverse of :func:`_pair_color`: down color c -> (a, b)."""
+    a = (c + d - 1) // d
+    return a, c - (a - 1) * d
+
+
 def _recolor_vec(vec, pairs, d):
     out = list(vec)
     for iu, idn in pairs:
-        a = vec[iu][1]
-        b = vec[idn][1]
         out[iu] = (1, 1)
-        out[idn] = (-1, (a - 1) * d + b)
+        out[idn] = (-1, _pair_color(vec[iu][1], vec[idn][1], d))
     return out
 
 
 def _recolor_vec_inverse(vec, pairs, d):
     out = list(vec)
     for iu, idn in pairs:
-        c = vec[idn][1]
-        a = (c + d - 1) // d
+        a, b = _split_color(vec[idn][1], d)
         out[iu] = (1, a)
-        out[idn] = (-1, c - (a - 1) * d)
+        out[idn] = (-1, b)
     return out
 
 
@@ -429,14 +442,38 @@ class RecoloringReport:
         )
 
 
+def _skeletons(spec, n):
+    """Uncolored length-n paths from height 0 to 0, as displacement tuples."""
+    for vec in _iter_step_vectors(spec, n, 0, 0, False):
+        yield tuple(dd for dd, _ in vec)
+
+
+def _step_colors(spec, skeleton):
+    """The color range of each step of ``skeleton`` under ``spec``."""
+    return [range(1, spec.weight_of(dd) + 1) for dd in skeleton]
+
+
 def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     """Exhaustively verify the recoloring on all length-n colored paths.
 
     Enumerates the full colored path set of (u; l; d), maps every path
     through the recoloring, and checks that the image lies in the
     colored path set of (1; l; u*d), is hit injectively and completely,
-    and that the inverse returns the original path.  Works on raw step
-    tuples so million-path sweeps stay cheap.
+    and that the inverse returns the original path.
+
+    The sweep is skeleton-major.  The recoloring keeps every
+    displacement, so a colored path is an uncolored skeleton plus one
+    color per step, and its pair matching depends on the skeleton alone.
+    Each side enumerates its own skeletons and matches the pairs of each
+    once; ``itertools.product`` then walks the skeleton's colorings.  A
+    path is keyed by the integer id(skeleton) * m**n + sum(c_i * m**i)
+    over its step colors c_i < m.  The pair map and its inverse are
+    tabulated once per report from :func:`_pair_color` and
+    :func:`_split_color`.  Every domain path is mapped forward pair by
+    pair into the key of its image, which is looked up in the
+    independently enumerated codomain and added to the image set, and
+    every collapsed pair color is split back and compared with the
+    colors it came from.
     """
     src = WeightSpec((u,), level, (d,))
     tgt = WeightSpec((1,), level, (u * d,))
@@ -446,29 +483,45 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
         if c > limit:
             raise GuardExceeded(f"predicted {c} paths exceed the guard {limit}")
 
-    base = max(u * d, u, d, level, 1) + 1
+    # collapse[a][b] and split[c]: the pair map and its inverse on the
+    # colors that occur (index 0 is unused).
+    collapse = [None] + [
+        [None] + [_pair_color(a, b, d) for b in range(1, d + 1)] for a in range(1, u + 1)
+    ]
+    collapsed = {c for row in collapse[1:] for c in row[1:]}
+    split = {c: _split_color(c, d) for c in collapsed}
+    # Key digits must stay below m even for colors a faulty pair map yields.
+    m = max(level, u * d, *collapsed, 1) + 1
+    place = [m**i for i in range(n)]
+    ids = {}
 
-    def pack(vec):
-        acc = 0
-        for dd, cc in vec:
-            acc = acc * (3 * base) + (dd + 1) * base + cc
-        return acc
+    codomain = set()
+    for skel in _skeletons(tgt, n):
+        base = ids.setdefault(skel, len(ids)) * m**n
+        digits = [[c * p for c in colors] for colors, p in zip(_step_colors(tgt, skel), place)]
+        codomain.update(map(sum, product([base], *digits)))
 
-    codomain = {pack(v) for v in _iter_step_vectors(tgt, n, 0, 0, True)}
     image = set()
     domain_size = 0
     in_codomain = True
     roundtrip_ok = True
-    for vec in _iter_step_vectors(src, n, 0, 0, True):
-        domain_size += 1
-        pairs = _match_pairs([dd for dd, _ in vec])
-        out = _recolor_vec(vec, pairs, d)
-        key = pack(out)
-        if key not in codomain:
-            in_codomain = False
-        image.add(key)
-        if tuple(_recolor_vec_inverse(out, pairs, d)) != vec:
-            roundtrip_ok = False
+    for skel in _skeletons(src, n):
+        pairs = [(iu, idn, place[idn]) for iu, idn in _match_pairs(skel)]
+        # The image keeps the level colors and gives every up step color 1.
+        base = ids.setdefault(skel, len(ids)) * m**n + sum(place[iu] for iu, _, _ in pairs)
+        level_place = [p if dd == 0 else 0 for dd, p in zip(skel, place)]
+        for cols in product(*_step_colors(src, skel)):
+            domain_size += 1
+            key = base + sum(map(mul, cols, level_place))
+            for iu, idn, p in pairs:
+                a, b = cols[iu], cols[idn]
+                c = collapse[a][b]
+                key += c * p
+                if split[c] != (a, b):
+                    roundtrip_ok = False
+            if key not in codomain:
+                in_codomain = False
+            image.add(key)
     return RecoloringReport(
         u, level, d, n,
         domain_size=domain_size,

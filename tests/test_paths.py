@@ -1,8 +1,13 @@
 """Path model, enumeration guards, and the recoloring bijection."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motzkinrank as mr
+from motzkinrank import paths
 
 
 def test_weight_spec_parse_format_roundtrip():
@@ -101,6 +106,30 @@ def test_enumerate_uncolored_and_endpoints():
     assert all(p.start_height == 1 and p.end_height == 0 for p in lifted)
 
 
+def test_enumeration_with_zero_top_weights():
+    # The top displacements (+3, -3) and the +2 step carry weight 0, so the
+    # walker may only plan on rising by 1 and falling by 2 per step.
+    spec = mr.WeightSpec((1, 0, 0), 1, (1, 2, 0))
+    steps = [(dd, c) for dd, w in spec.step_types() for c in range(1, w + 1)]
+    for start in range(4):
+        for end in range(4):
+            for n in range(9):
+                found = mr.enumerate_paths(spec, n, start, end)
+                assert len(found) == mr.count_paths_dp(spec, n, start, end)
+                if n > 5:
+                    continue
+                # Same paths in the same order as a brute-force walk over
+                # every step sequence, which is lexicographic by construction.
+                brute = []
+                for vec in product(steps, repeat=n):
+                    heights = [start]
+                    for dd, _ in vec:
+                        heights.append(heights[-1] + dd)
+                    if min(heights) >= 0 and heights[-1] == end:
+                        brute.append(vec)
+                assert [p.step_pairs() for p in found] == brute
+
+
 def test_enumeration_guards(monkeypatch):
     spec = mr.WeightSpec.all_ones(1)
     with pytest.raises(mr.GuardExceeded):
@@ -164,3 +193,56 @@ def test_recoloring_report_small():
     assert report.image_in_codomain and report.roundtrip_ok and report.is_bijection
     with pytest.raises(mr.GuardExceeded):
         mr.recoloring_report(3, 2, 3, 8, max_paths=100)
+
+
+def _report_by_paths(u, level, d, n):
+    # The report rebuilt path by path through the public maps.
+    domain = mr.enumerate_paths(mr.WeightSpec.rank1(u, level, d), n)
+    codomain = {p.to_text() for p in mr.enumerate_paths(mr.WeightSpec.rank1(1, level, u * d), n)}
+    images = [mr.recolor_bijection(p) for p in domain]
+    texts = {p.to_text() for p in images}
+    return mr.RecoloringReport(
+        u, level, d, n,
+        domain_size=len(domain),
+        codomain_size=len(codomain),
+        image_size=len(texts),
+        image_in_codomain=texts <= codomain,
+        roundtrip_ok=all(
+            mr.recolor_inverse(image, u, d).to_text() == p.to_text()
+            for p, image in zip(domain, images)
+        ),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    u=st.integers(0, 4),
+    level=st.integers(0, 3),
+    d=st.integers(0, 4),
+    n=st.integers(0, 6),
+)
+def test_recoloring_report_matches_path_by_path_route(u, level, d, n):
+    assert mr.recoloring_report(u, level, d, n) == _report_by_paths(u, level, d, n)
+
+
+def test_recoloring_report_catches_non_injective_pair_map(monkeypatch):
+    # Forgetting the up color merges the u colorings of each pair.
+    monkeypatch.setattr(paths, "_pair_color", lambda a, b, d: b)
+    report = mr.recoloring_report(2, 1, 3, 6)
+    assert report.image_size < report.domain_size
+    assert not report.is_bijection
+    # recolor_bijection reads the same pair map.
+    path = mr.ColoredPath.from_text(mr.WeightSpec.rank1(2, 1, 3), "+1:2,-1:3")
+    assert mr.recolor_bijection(path).to_text() == "+1:1,-1:3"
+
+
+def test_recoloring_report_catches_broken_inverse(monkeypatch):
+    # Splitting every down color back to up color 1 undoes no pair with a > 1.
+    monkeypatch.setattr(paths, "_split_color", lambda c, d: (1, c))
+    report = mr.recoloring_report(2, 1, 3, 6)
+    assert report.image_in_codomain
+    assert report.domain_size == report.image_size == report.codomain_size
+    assert not report.roundtrip_ok
+    assert not report.is_bijection
+    image = mr.ColoredPath.from_text(mr.WeightSpec.rank1(1, 1, 6), "+1:1,-1:6")
+    assert mr.recolor_inverse(image, 2, 3).to_text() == "+1:1,-1:6"
