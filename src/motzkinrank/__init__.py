@@ -45,6 +45,7 @@ from .errors import (
     MotzkinError,
     NonIntegralStep,
     NotRankOne,
+    SelfCheckFailed,
     SingularLeadingCoefficient,
     SymmetryRequiresAllOnes,
     UnbalancedPath,
@@ -106,6 +107,7 @@ __all__ = [
     "PairMatching",
     "RecoloringReport",
     "Recurrence",
+    "SelfCheckFailed",
     "SeriesFamily",
     "SingularLeadingCoefficient",
     "Step",

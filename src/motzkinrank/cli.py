@@ -66,13 +66,6 @@ def _add_output_args(sub, default_format="json"):
         help=f"output format (default: {default_format})",
     )
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    sub.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="accepted for interface stability; computation is "
-        "single-threaded and deterministic regardless",
-    )
 
 
 def _add_spec_args(sub):

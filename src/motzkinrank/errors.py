@@ -59,3 +59,11 @@ class InsufficientOrder(MotzkinError):
 
 class InsufficientTerms(MotzkinError):
     """Too few sequence terms for the requested recurrence search."""
+
+
+class SelfCheckFailed(MotzkinError, RuntimeError):
+    """A computed result failed the library's own independent check.
+
+    This signals a defect in the library, not bad input; it is a
+    RuntimeError as well so that older callers catching that still do.
+    """

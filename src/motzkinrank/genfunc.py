@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backend
-from .errors import SymmetryRequiresAllOnes
+from .errors import SelfCheckFailed, SymmetryRequiresAllOnes
 from .paths import WeightSpec
 from .series import CoeffSeries, catalan_series
 
@@ -232,7 +232,7 @@ def solve_series(spec: WeightSpec, order: int, symmetric: bool = False) -> Serie
     while True:
         sweep += 1
         if sweep > limit:  # the ramp guarantees convergence well before this
-            raise RuntimeError("fixed-point iteration failed to stabilize")
+            raise SelfCheckFailed("fixed-point iteration failed to stabilize")
         t = min(order, sweep + ramp)
         new = {lhs: _eval_plan(plan, values, t) for lhs, plan in plans}
         if t == order and new == values:
@@ -249,7 +249,7 @@ def solve_series(spec: WeightSpec, order: int, symmetric: bool = False) -> Serie
             family[i, j] = family[key]
     for s in family.values():
         if not s.is_integral():  # cannot happen with integer weights
-            raise RuntimeError("solver produced non-integer coefficients")
+            raise SelfCheckFailed("solver produced non-integer coefficients")
     return SeriesFamily(spec, order, symmetric, family)
 
 

@@ -2,17 +2,26 @@
 
 Two routes, both exact:
 
-* Modular fast path: row echelon mod a fixed 61-bit prime.  Full column
-  rank mod p is a sound certificate of an empty nullspace (reduction
-  mod p can only lower the rank).  Otherwise canonical candidate
-  vectors are lifted by CRT over more primes plus rational
-  reconstruction, and each candidate is verified against the original
-  integer matrix before being returned.
+* Modular fast path: row echelon mod a 61-bit prime.  Full column rank
+  mod p is a sound certificate of an empty nullspace (reduction mod p
+  can only lower the rank).  Otherwise canonical candidate vectors are
+  lifted by CRT over further primes plus rational reconstruction, and
+  each candidate is verified against the original integer matrix
+  before being returned.  Primes come from ``prime_stream``: the ten
+  ``PRIMES61``, then every smaller prime in descending order, found
+  lazily by deterministic Miller-Rabin.  A prime whose pivot columns
+  come earlier than the first prime's shows that the first prime was
+  unlucky, and lifting restarts from it; a prime whose pivots come later
+  is unlucky itself and is skipped.  Lifting goes on until every
+  candidate verifies.  The guessers' largest relations need about 11
+  primes (coefficients of 330 bits), so a fixed budget of ten would
+  send them to the slow route.
 * Fraction-free fallback: Bareiss elimination over the integers with
-  exact back substitution.  Used when the modular route fails to
-  produce verified vectors (which takes astronomically bad luck with
-  610 bits of primes), and directly reachable via ``force_exact`` so
-  both routes stay tested against each other.
+  exact back substitution.  Used when the CRT modulus exceeds twice
+  the square of the system's Hadamard bound without every candidate
+  verifying: with the right pivots, that modulus reconstructs every
+  entry, so only wrong pivots can get there.  Directly reachable via
+  ``force_exact`` so both routes stay tested against each other.
 
 Nothing leaves this module unverified, so an unlucky prime can cost
 time but never an answer.
@@ -24,6 +33,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import backend
+from .errors import SelfCheckFailed
 
 # Ten largest primes below 2**61; products fit in unsigned 128-bit
 # words, which is what the compiled echelon kernel relies on.
@@ -39,6 +49,42 @@ PRIMES61 = (
     2305843009213693549,
     2305843009213693487,
 )
+
+# Miller-Rabin with these bases is exact below 3.3e24, far above 2**61.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_stream():
+    """PRIMES61, then every smaller prime in descending order, lazily."""
+    yield from PRIMES61
+    n = PRIMES61[-1] - 2
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
 
 
 def is_nullvector(rows, v) -> bool:
@@ -111,22 +157,51 @@ def _reconstruct_vector(residues, m):
     return _normalize([int(f * den) for f in fracs])
 
 
+def _hadamard_bound(rows, ncols):
+    """Bound on the absolute value of every square minor of rows."""
+    norms = sorted(
+        (isqrt(sum(row[c] * row[c] for row in rows)) + 1 for c in range(ncols)),
+        reverse=True,
+    )
+    h = 1
+    for x in norms[: len(rows)]:
+        h *= x
+    return h
+
+
 def _modular_nullspace(rows, ncols, max_vectors):
     """Verified basis via the modular route, [] for certified full rank,
     or None when the route fails and the caller must go exact."""
-    p0 = PRIMES61[0]
-    ech = [[v % p0 for v in row] for row in rows]
-    pivots = backend.modp_echelon(ech, p0)
-    if len(pivots) == ncols:
-        return []
-    pivset = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivset]
-    if max_vectors is not None:
-        free_cols = free_cols[:max_vectors]
-    acc = {f: _modp_canonical(ech, pivots, ncols, f, p0) for f in free_cols}
-    modulus = p0
-    found = {}
-    for p in PRIMES61[1:] + (None,):
+    pivots = None
+    limit = None
+    for p in prime_stream():
+        ech = [[v % p for v in row] for row in rows]
+        piv = backend.modp_echelon(ech, p)
+        # Reduction mod p can only lose pivots, so the rational pivot
+        # columns come first where two primes' pivot lists differ.
+        if pivots is None or piv + [ncols] < pivots + [ncols]:
+            if len(piv) == ncols:
+                return []
+            pivots = piv
+            pivset = set(pivots)
+            free_cols = [c for c in range(ncols) if c not in pivset]
+            if max_vectors is not None:
+                free_cols = free_cols[:max_vectors]
+            acc = {f: _modp_canonical(ech, pivots, ncols, f, p) for f in free_cols}
+            modulus = p
+            found = {}
+        elif piv != pivots:
+            continue  # unlucky prime: it loses a pivot the others have
+        else:
+            inv = pow(modulus % p, -1, p)
+            for f in free_cols:
+                if f in found:
+                    continue
+                vp = _modp_canonical(ech, piv, ncols, f, p)
+                acc[f] = [
+                    a + modulus * ((b - a) * inv % p) for a, b in zip(acc[f], vp)
+                ]
+            modulus *= p
         for f in free_cols:
             if f in found:
                 continue
@@ -135,22 +210,10 @@ def _modular_nullspace(rows, ncols, max_vectors):
                 found[f] = v
         if len(found) == len(free_cols):
             return [found[f] for f in free_cols]
-        if p is None:
+        if limit is None:
+            limit = 2 * _hadamard_bound(rows, ncols) ** 2
+        if modulus > limit:
             return None
-        ech = [[v % p for v in row] for row in rows]
-        piv2 = backend.modp_echelon(ech, p)
-        if piv2 != pivots:
-            continue  # unlucky prime disagrees on structure; skip it
-        inv = pow(modulus % p, -1, p)
-        for f in free_cols:
-            if f in found:
-                continue
-            vp = _modp_canonical(ech, piv2, ncols, f, p)
-            acc[f] = [
-                a + modulus * ((b - a) * inv % p) for a, b in zip(acc[f], vp)
-            ]
-        modulus *= p
-    return None
 
 
 def _exact_nullspace(rows, ncols, max_vectors):
@@ -179,7 +242,7 @@ def _exact_nullspace(rows, ncols, max_vectors):
             den = lcm(den, x.denominator)
         ints = _normalize([int(x * den) for x in v])
         if ints is None or not is_nullvector(rows, ints):
-            raise RuntimeError("exact elimination produced an invalid vector")
+            raise SelfCheckFailed("exact elimination produced an invalid vector")
         out.append(ints)
     return out
 

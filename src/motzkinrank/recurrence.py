@@ -11,14 +11,25 @@ terms with the last ``guard`` instances withheld, and returns the first
 candidate that verifies on every applicable instance including the
 withheld ones.  ``minimality_scan`` maps out the whole grid, which is
 how desk-scale minimality evidence is collected.
+
+Both scan order by order.  All cells of order k share the rows
+n = 0..len(terms)-k-guard-1, so order k's system is built once, with
+its columns degree-major (every m_{n+i} for n^0, then for n^1, ...),
+and row reduced once mod a 61-bit prime.  Cell (k, d) is then the
+column prefix of width w = (k+1)(d+1), and it has full column rank mod
+p exactly when the echelon has w pivots below column w.  That certifies
+an empty cell, as in ``linalg``; only the other cells are solved
+exactly.  ``guess_recurrence`` stops each order's degrees at the best
+verified cell found so far.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
-from . import intpoly, linalg, published
+from . import backend, intpoly, linalg, published
 from .errors import (
     InsufficientTerms,
     NonIntegralStep,
@@ -191,25 +202,51 @@ def _check_terms(terms, max_order, max_degree, guard):
         )
 
 
+def _full_rank_cells(terms, k, max_degree, guard):
+    """full[d] is True when cell (k, d) has full column rank mod a prime,
+    which certifies that it admits no relation (see module docstring)."""
+    p = linalg.PRIMES61[0]
+    rows = []
+    for n in range(len(terms) - k - guard):
+        window = [t % p for t in terms[n : n + k + 1]]
+        row = []
+        e = 1
+        for _ in range(max_degree + 1):
+            row += [t * e % p for t in window]
+            e = e * n % p
+        rows.append(row)
+    pivots = backend.modp_echelon(rows, p)
+    return [
+        bisect_left(pivots, w) == w
+        for w in ((k + 1) * (d + 1) for d in range(max_degree + 1))
+    ]
+
+
 def guess_recurrence(terms, max_order: int, max_degree: int, guard: int = 8):
     """Smallest relation (by order+degree, then order) fitting the terms.
 
-    Scans cells (k, d) ordered by k+d then k; each candidate must hold
-    on every applicable instance of the input, including the ``guard``
-    withheld ones, before it is returned (normalized).  Returns None
-    when no cell in the grid admits a verified relation.
+    Finds the first cell (k, d), ordered by k+d then k, that admits a
+    verified relation; each candidate must hold on every applicable
+    instance of the input, including the ``guard`` withheld ones,
+    before it is returned (normalized).  Returns None when no cell in
+    the grid admits a verified relation.
     """
     terms = list(terms)
     _check_terms(terms, max_order, max_degree, guard)
-    cells = sorted(
-        ((k, d) for k in range(1, max_order + 1) for d in range(max_degree + 1)),
-        key=lambda kd: (kd[0] + kd[1], kd[0]),
-    )
-    for k, d in cells:
-        rec = _solve_cell(terms, k, d, guard)
-        if rec is not None:
-            return rec
-    return None
+    best = None
+    bound = max_order + max_degree + 1  # a better cell has k + d below this
+    for k in range(1, max_order + 1):
+        top = min(max_degree, bound - k - 1)
+        if top < 0:
+            break
+        full = _full_rank_cells(terms, k, top, guard)
+        for d in range(top + 1):
+            if not full[d]:
+                rec = _solve_cell(terms, k, d, guard)
+                if rec is not None:
+                    best, bound = rec, k + d
+                    break
+    return best
 
 
 @dataclass(frozen=True)
@@ -233,6 +270,16 @@ class MinimalityReport:
         relation found (order + 1), or None."""
         return self.smallest[0] + 1 if self.hits else None
 
+    @property
+    def frontier(self) -> tuple[tuple[int, int], ...]:
+        """The minimal hits under the product order, by increasing order:
+        no other hit has both order and degree at most theirs."""
+        out = []
+        for k, d in sorted(self.hits):
+            if not out or d < out[-1][1]:
+                out.append((k, d))
+        return tuple(out)
+
 
 def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
     """Try every cell of the (order, degree) grid and record the hits."""
@@ -240,10 +287,12 @@ def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
     _check_terms(terms, max_order, max_degree, guard)
     hits = []
     for k in range(1, max_order + 1):
-        for d in range(max_degree + 1):
-            rec = _solve_cell(terms, k, d, guard)
-            if rec is not None:
-                hits.append((k, d))
+        full = _full_rank_cells(terms, k, max_degree, guard)
+        hits += [
+            (k, d)
+            for d in range(max_degree + 1)
+            if not full[d] and _solve_cell(terms, k, d, guard) is not None
+        ]
     return MinimalityReport(
         terms_used=len(terms),
         max_order=max_order,

@@ -156,7 +156,7 @@ def test_c4_recurrence_rediscovery():
     ) == _shift_left_multiply(5, guessed.coeff_polys)
 
     scan = mr.minimality_scan(terms, max_order=5, max_degree=5)
-    scan_ok = scan.hits == ((5, 4), (5, 5))
+    scan_ok = scan.hits == ((5, 4), (5, 5)) and scan.frontier == ((5, 4),)
 
     extension = mr.apply_recurrence(embedded, terms[: embedded.order], 101)
     extend_ok = extension == terms[:101]
@@ -165,13 +165,17 @@ def test_c4_recurrence_rediscovery():
         "C4",
         "guess on 120 terms is a verified order-5 degree-4 Q with "
         "(n+5)*P = (S+5)*Q for the 7-term P, the (<=5, <=5) scan hits "
-        "exactly (5,4) and (5,5), and extension to n = 100 matches dp",
+        "exactly (5,4) and (5,5) with frontier (5,4), and extension to "
+        "n = 100 matches dp",
         guess_ok and certificate_ok and scan_ok and extend_ok,
     )
     assert extend_ok, "extension from the 7-term relation diverged from dp"
     assert guess_ok, f"guess did not return a verified (5, 4) relation: {guessed}"
     assert certificate_ok, "(n+5)*P != (S+5)*Q for the guessed order-5 Q"
-    assert scan_ok, f"scan hits {scan.hits}, expected ((5, 4), (5, 5))"
+    assert scan_ok, (
+        f"scan hits {scan.hits} with frontier {scan.frontier}, "
+        "expected ((5, 4), (5, 5)) with frontier ((5, 4),)"
+    )
 
 
 def test_c5_rank1_collapse_identity():

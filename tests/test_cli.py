@@ -110,6 +110,16 @@ def test_domain_errors_exit_1(capsys):
     assert "error: InsufficientTerms" in err
 
 
+def test_failed_self_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(mr.linalg, "is_nullvector", lambda rows, v: False)
+    code, out, err = run(
+        capsys, "guess-rec", "--rank", "1", "--terms", "60",
+        "--max-order", "2", "--max-degree", "1",
+    )
+    assert code == 1 and out == ""
+    assert "error: SelfCheckFailed" in err
+
+
 def test_guess_algeq_found_and_not_found(capsys):
     code, out, _ = run(capsys, "guess-algeq", "--rank", "1", "--order", "40")
     assert code == 0

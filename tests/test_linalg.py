@@ -1,10 +1,20 @@
 """Exact integer nullspace computation, modular and fraction-free routes."""
 
 import random
+import subprocess
+import sys
+from itertools import islice
 
 import pytest
 
-from motzkinrank.linalg import is_nullvector, nullspace_basis, nullvector
+from motzkinrank import SelfCheckFailed, backend, linalg
+from motzkinrank.linalg import (
+    PRIMES61,
+    is_nullvector,
+    nullspace_basis,
+    nullvector,
+    prime_stream,
+)
 
 
 def random_matrix(rng, m, n, bound):
@@ -96,3 +106,115 @@ def test_wide_and_tall_shapes():
     assert len(basis) == 4
     tall = [[1], [2], [3]]
     assert nullspace_basis(tall) == []
+
+
+def test_modular_route_lifts_past_the_fixed_primes(monkeypatch):
+    # 2 x 3 with 360-bit entries: the nullvector's entries are 2 x 2
+    # minors of about 720 bits, far beyond what ten 61-bit primes
+    # reconstruct, and the modular route must still get there alone.
+    rng = random.Random(2024)
+    rows = random_matrix(rng, 2, 3, 2**360)
+    exact = nullspace_basis(rows, force_exact=True)
+    assert len(exact) == 1 and max(abs(x) for x in exact[0]).bit_length() > 700
+
+    def no_bareiss(rows):
+        raise AssertionError("the modular route fell back to Bareiss")
+
+    calls = []
+    echelon = backend.modp_echelon
+    monkeypatch.setattr(backend, "bareiss_echelon", no_bareiss)
+    monkeypatch.setattr(
+        backend, "modp_echelon", lambda rows, p: calls.append(p) or echelon(rows, p)
+    )
+    assert nullspace_basis(rows) == exact
+    assert len(calls) > len(PRIMES61)
+
+
+def test_unlucky_first_prime_restarts_the_lift(monkeypatch):
+    # The second row's middle entry vanishes mod the first prime, which
+    # therefore sees pivots [0, 2] instead of [0, 1]; the next prime
+    # shows it up, and lifting restarts from there without Bareiss.
+    p0 = PRIMES61[0]
+    rows = [[1, 0, 1], [0, p0, 1]]
+    exact = nullspace_basis(rows, force_exact=True)
+    assert exact == [[p0, 1, -p0]]
+
+    def no_bareiss(rows):
+        raise AssertionError("the modular route fell back to Bareiss")
+
+    monkeypatch.setattr(backend, "bareiss_echelon", no_bareiss)
+    assert nullspace_basis(rows) == exact
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (0, 1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_below_2_64(n):
+    # Sinclair's seven bases: a deterministic Miller-Rabin for n < 2**64,
+    # independent of the library's bases 2..37.
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(
+        _strong_probable_prime(n, a)
+        for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+    )
+
+
+def test_prime_stream_descends_through_every_prime_below_2_61():
+    drawn = list(islice(prime_stream(), 40))
+    assert tuple(drawn[: len(PRIMES61)]) == PRIMES61
+    assert drawn[0] < 2**61
+    assert all(a > b for a, b in zip(drawn, drawn[1:]))
+    assert all(_is_prime_below_2_64(p) for p in drawn)
+    # no prime is skipped between 2**61 and the last one drawn
+    between = [n for n in range(drawn[-1], 2**61) if _is_prime_below_2_64(n)]
+    assert between == drawn[::-1]
+
+
+def test_importing_linalg_generates_no_primes():
+    # Profile a fresh interpreter's import for calls into the prime test.
+    code = (
+        "import sys\n"
+        "calls = []\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in ('_is_prime', 'prime_stream'):\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(hook)\n"
+        "import motzkinrank.linalg as linalg\n"
+        "sys.setprofile(None)\n"
+        "assert hasattr(linalg, '_is_prime')\n"
+        "print(len(calls))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
+
+
+def test_failed_exact_check_is_a_typed_error(monkeypatch):
+    # With every candidate rejected, the modular route lifts until the
+    # Hadamard bound, falls back to Bareiss, and the exact route's own
+    # check fails as a MotzkinError.
+    monkeypatch.setattr(linalg, "is_nullvector", lambda rows, v: False)
+    bareiss = []
+    echelon = backend.bareiss_echelon
+    monkeypatch.setattr(
+        backend, "bareiss_echelon", lambda rows: bareiss.append(1) or echelon(rows)
+    )
+    with pytest.raises(SelfCheckFailed):
+        nullspace_basis([[1, 2, 3], [4, 5, 6]])
+    assert bareiss == [1]
+    with pytest.raises(SelfCheckFailed):
+        nullspace_basis([[1, 2, 3]], force_exact=True)

@@ -1,9 +1,12 @@
 """Polynomial-coefficient recurrences: verify, extend, guess, scan."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import motzkinrank as mr
-from motzkinrank import Recurrence
+from motzkinrank import MinimalityReport, Recurrence
+from motzkinrank.recurrence import _solve_cell
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +149,51 @@ def test_rank2_shorter_relation_is_genuine(rank2):
     longer = mr.count_sequence(mr.WeightSpec.all_ones(2), 200)
     assert mr.verify_recurrence(rec, longer)
     assert mr.apply_recurrence(rec, longer[:5], 201) == longer
+
+
+def test_frontier_keeps_the_minimal_hits():
+    report = MinimalityReport(
+        terms_used=100, max_order=8, max_degree=6, guard=8,
+        hits=((2, 5), (3, 3), (3, 4), (4, 3), (5, 1), (5, 2), (6, 1), (7, 0)),
+    )
+    assert report.frontier == ((2, 5), (3, 3), (5, 1), (7, 0))
+    assert MinimalityReport(100, 3, 3, 8, ()).frontier == ()
+    assert MinimalityReport(100, 3, 3, 8, ((2, 2),)).frontier == ((2, 2),)
+
+
+def _cell_by_cell(terms, max_order, max_degree, guard=8):
+    """The grid solved cell by cell: (guess, hits) as the two scans
+    define them, without the shared modular elimination."""
+    recs = {
+        (k, d): _solve_cell(terms, k, d, guard)
+        for k in range(1, max_order + 1)
+        for d in range(max_degree + 1)
+    }
+    hits = tuple(cell for cell, rec in recs.items() if rec is not None)
+    first = min(hits, key=lambda kd: (kd[0] + kd[1], kd[0]), default=None)
+    return (recs[first] if first else None), hits
+
+
+@st.composite
+def _recurrence_cases(draw):
+    rank = draw(st.integers(1, 2))
+    weights = st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+    spec = mr.WeightSpec(tuple(draw(weights)), draw(st.integers(0, 3)), tuple(draw(weights)))
+    start = draw(st.integers(0, rank))
+    end = draw(st.integers(0, rank))
+    n_terms = draw(st.integers(40, 90))
+    return spec, start, end, n_terms, draw(st.integers(1, 6)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_recurrence_cases())
+def test_order_major_scan_matches_cell_by_cell(case):
+    spec, start, end, n_terms, max_order, max_degree = case
+    terms = mr.count_sequence(spec, n_terms - 1, start, end)
+    try:
+        report = mr.minimality_scan(terms, max_order, max_degree)
+    except mr.InsufficientTerms:
+        assume(False)
+    guess, hits = _cell_by_cell(terms, max_order, max_degree)
+    assert report.hits == hits
+    assert mr.guess_recurrence(terms, max_order, max_degree) == guess
