@@ -4,8 +4,8 @@
 Cython twin of ``_kernels_py`` for three of its four kernels; see that
 module for the contracts.  The counting DP ``dp_rows`` has no twin: the
 pure kernel adds whole slices, so a compiled loop gains little.  The
-mod-p echelon runs on a flat C buffer with 128-bit products (the fixed
-primes are below 2**61, so products never overflow); the other two
+mod-p LU factorization runs on a flat C buffer with 128-bit products
+(every prime is below 2**61, so products never overflow); the other two
 kernels keep Python object arithmetic (the operands are big integers)
 but move all loop bookkeeping to C.
 """
@@ -53,13 +53,14 @@ cdef inline u64 _modpow(u64 base, u64 exp, u64 p):
 
 
 def modp_echelon(rows, p_in):
-    """In-place row echelon mod the prime p, pivots normalized to 1."""
+    """In-place LU factorization mod the prime p; returns (pivots, order)."""
     cdef u64 p = p_in
     cdef int nrows = len(rows)
     cdef int ncols = len(rows[0]) if nrows else 0
     cdef list pivots = []
+    cdef list order = list(range(nrows))
     if nrows == 0 or ncols == 0:
-        return pivots
+        return pivots, order
     cdef u64 * buf = <u64 *> PyMem_Malloc(<size_t> nrows * ncols * sizeof(u64))
     if buf == NULL:
         raise MemoryError()
@@ -83,20 +84,21 @@ def modp_echelon(rows, p_in):
             if pr < 0:
                 continue
             if pr != r:
-                for j in range(c, ncols):
+                # whole rows: the entries left of c hold multipliers
+                for j in range(ncols):
                     x = buf[r * ncols + j]
                     buf[r * ncols + j] = buf[pr * ncols + j]
                     buf[pr * ncols + j] = x
+                order[r], order[pr] = order[pr], order[r]
             inv = _modpow(buf[r * ncols + c], p - 2, p)
             if inv != 1:
-                for j in range(c, ncols):
+                for j in range(c + 1, ncols):
                     x = buf[r * ncols + j]
                     if x:
                         buf[r * ncols + j] = <u64> ((<u128> x * inv) % p)
             for i in range(r + 1, nrows):
                 m = buf[i * ncols + c]
                 if m:
-                    buf[i * ncols + c] = 0
                     for j in range(c + 1, ncols):
                         x = buf[r * ncols + j]
                         if x:
@@ -111,7 +113,7 @@ def modp_echelon(rows, p_in):
                 rowi[j] = buf[i * ncols + j]
     finally:
         PyMem_Free(buf)
-    return pivots
+    return pivots, order
 
 
 def bareiss_echelon(rows):

@@ -1,8 +1,8 @@
 """Pure Python reference kernels.
 
 These four loops dominate the runtime of the whole package: truncated
-series convolution, the weighted lattice-path DP step, row echelon mod a
-word-sized prime, and fraction-free (Bareiss) row echelon over the
+series convolution, the weighted lattice-path DP step, LU factorization
+mod a word-sized prime, and fraction-free (Bareiss) row echelon over the
 integers.  ``motzkinrank._kernels`` is a Cython twin of the other
 three kernels with identical semantics; ``backend.py`` picks whichever
 is importable.  Both versions must give bit-identical results on the
@@ -96,15 +96,26 @@ def dp_rows(deltas, weights, n, start, caps):
 
 
 def modp_echelon(rows, p):
-    """In-place row echelon mod the prime p, pivots normalized to 1.
+    """In-place LU factorization mod the prime p, with row pivoting.
 
-    Entries must already lie in [0, p).  Returns the pivot column list in
-    ascending order; rows below each pivot are zeroed, rows above are not
-    touched (back substitution handles them).
+    Entries must already lie in [0, p).  Returns ``(pivots, order)``:
+    the pivot columns in ascending order, and ``order[i]``, the input
+    index of the row that ends at position i.  Let r be the rank and c_k
+    the k-th pivot column.  Afterwards, row k < r holds the pivot value
+    d_k at c_k and, right of c_k, the pivot row divided by d_k (the unit
+    upper factor U, whose 1 at c_k is implied).  Every row i holds, at
+    each pivot column c_k with k < min(i, r), the multiplier L[i][k] of
+    U row k that the elimination subtracted there, and zero at the
+    other columns left of its own pivot (at all other columns when
+    i >= r).  So input row order[i] equals sum_k L[i][k] * U[k] mod p,
+    with L[k][k] = d_k.  Row operations never mix columns, so cut to the
+    first w columns this is the factorization of that column prefix,
+    with the pivots below w.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
+    order = list(range(nrows))
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -118,24 +129,24 @@ def modp_echelon(rows, p):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
+            order[r], order[pr] = order[pr], order[r]
         rowr = rows[r]
         inv = pow(rowr[c], p - 2, p)
         if inv != 1:
-            for j in range(c, ncols):
+            for j in range(c + 1, ncols):
                 if rowr[j]:
                     rowr[j] = rowr[j] * inv % p
         for i in range(r + 1, nrows):
             rowi = rows[i]
             m = rowi[c]
             if m:
-                rowi[c] = 0
                 for j in range(c + 1, ncols):
                     x = rowr[j]
                     if x:
                         rowi[j] = (rowi[j] - m * x) % p
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, order
 
 
 def bareiss_echelon(rows):

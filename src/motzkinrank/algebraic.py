@@ -6,7 +6,11 @@ polynomial coefficients; it annihilates a series F when P(x, F(x)) = 0.
 within degree bounds by exact linear algebra on the series
 coefficients, and ``verify_algebraic_equation`` checks any equation by
 direct substitution, so a guess is never trusted on the strength of the
-linear solve alone.
+linear solve alone.  Its columns are y-degree-major, so the ansatz of
+each y-degree is a column prefix of the next one's: each ansatz family
+is one system, eliminated once mod a prime by
+``linalg.PrefixNullspaces``, which certifies the empty y-degrees by
+full rank and lifts the candidates of the others p-adically.
 
 Reference transcriptions of the known all-ones equations for ranks
 1..4 live in ``published`` and are exposed here via
@@ -170,20 +174,12 @@ class GuessReport:
     verified_order: int | None = None
 
 
-def _try_ansatz(f_pows, order, bounds, rows_cache):
-    key = tuple(bounds)
-    if key in rows_cache:
-        return rows_cache[key]
+def _ansatz_system(f_pows, order, bounds):
+    """Columns (i, j) for x^j y^i with j <= bounds[i], y-degree-major,
+    over the first ``order`` coefficients of P(x, F(x))."""
     cols = [(i, j) for i, b in enumerate(bounds) for j in range(b + 1)]
-    rows = []
-    for n in range(order):
-        row = []
-        for i, j in cols:
-            row.append(f_pows[i][n - j] if n >= j else 0)
-        rows.append(row)
-    result = (cols, _int_rows(rows))
-    rows_cache[key] = result
-    return result
+    rows = [[f_pows[i][n - j] if n >= j else 0 for i, j in cols] for n in range(order)]
+    return cols, linalg.PrefixNullspaces(_int_rows(rows))
 
 
 def guess_algebraic_equation(
@@ -198,9 +194,11 @@ def guess_algebraic_equation(
     per-coefficient ansatz deg a_i <= min(i, max_x_degree) is tried
     first (the shape all known equations here have); if it yields
     nothing and a uniform x-bound was given, deg a_i <= max_x_degree is
-    retried.  Candidate nullvectors are accepted only after exact
-    substitution back into the series, and the scan order makes the
-    returned y-degree minimal within the searched space.
+    retried.  Each of the two ansatz families is one system, built for
+    its largest y-degree and eliminated once; every y-degree is a
+    column prefix of it.  Candidate nullvectors are accepted only after
+    exact substitution back into the series, and the scan order makes
+    the returned y-degree minimal within the searched space.
 
     The series must have order >= unknowns + guard for the initial
     ansatz; degrees whose ansatz would exceed the available order are
@@ -224,16 +222,28 @@ def guess_algebraic_equation(
             f"({first_unknowns} unknowns + guard {guard})"
         )
 
+    # Each family's system is built for the largest y-degree that
+    # leaves ``guard`` spare coefficients.
+    families = {"per-degree": shape_bounds(max_y_degree)}
+    if max_x_degree is not None:
+        families["uniform"] = [max_x_degree] * (max_y_degree + 1)
+    for bounds in families.values():
+        while sum(b + 1 for b in bounds) + guard > order:
+            bounds.pop()
     f = list(series.coeffs)
     f_pows = [[1] + [0] * (order - 1)]
-    rows_cache: dict = {}
+    systems = {}
 
-    def candidates(bounds):
-        while len(f_pows) <= len(bounds) - 1:
-            f_pows.append(backend.conv_trunc(f_pows[-1], f, order))
-        cols, rows = _try_ansatz(f_pows, order, bounds, rows_cache)
-        for vec in linalg.nullspace_basis(rows, max_vectors=8):
-            polys = [[0] * (b + 1) for b in bounds]
+    def candidates(ansatz, dd):
+        bounds = families[ansatz]
+        if ansatz not in systems:
+            while len(f_pows) < len(bounds):
+                f_pows.append(backend.conv_trunc(f_pows[-1], f, order))
+            systems[ansatz] = _ansatz_system(f_pows, order, bounds)
+        cols, system = systems[ansatz]
+        w = sum(b + 1 for b in bounds[: dd + 1])
+        for vec in system.basis(w, max_vectors=8):
+            polys = [[0] * (b + 1) for b in bounds[: dd + 1]]
             for (i, j), v in zip(cols, vec):
                 polys[i][j] = v
             if not any(any(p) for p in polys):
@@ -244,15 +254,13 @@ def guess_algebraic_equation(
         return None
 
     for dd in range(1, max_y_degree + 1):
-        attempts = [("per-degree", shape_bounds(dd))]
-        if max_x_degree is not None:
-            uniform = [max_x_degree] * (dd + 1)
-            if uniform != attempts[0][1]:
-                attempts.append(("uniform", uniform))
-        for ansatz, bounds in attempts:
-            if sum(b + 1 for b in bounds) + guard > order:
+        attempts = ["per-degree"]
+        if max_x_degree is not None and families["uniform"][: dd + 1] != shape_bounds(dd):
+            attempts.append("uniform")
+        for ansatz in attempts:
+            if len(families[ansatz]) <= dd:
                 continue
-            eq = candidates(bounds)
+            eq = candidates(ansatz, dd)
             if eq is not None:
                 return GuessReport(
                     found=True,

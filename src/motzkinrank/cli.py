@@ -19,7 +19,7 @@ import io
 import json
 import sys
 
-from . import counting, genfunc, published, recurrence
+from . import counting, genfunc, intpoly, published, recurrence
 from .algebraic import (
     AlgebraicEquation,
     check_shape_conjecture,
@@ -455,25 +455,37 @@ def _rep_algeq(rank):
 
 
 def _rep_prodinger():
+    # The embedded seven-term P is not the smallest relation: the guess
+    # is an order-5, degree-4 Q, and P is the left multiple
+    # (n + 5) * P = (S + 5) * Q, with S the shift m_n -> m_{n+1}.
     spec = WeightSpec.all_ones(2)
     terms = counting.count_sequence(spec, TERMS_DEFAULT - 1)
     embedded = recurrence.prodinger_recurrence()
-    lines = [f"rank-2 seven-term relation (guess on {len(terms)} dp terms)"]
-    ok = True
+    lines = [f"rank-2 seven-term relation P (guess on {len(terms)} dp terms)"]
 
     guessed = recurrence.guess_recurrence(terms, max_order=8, max_degree=5)
     if guessed is None:
         lines.append("guesser found no relation: FAIL")
         return False, lines
     lines.append(f"guessed order {guessed.order}, degree {guessed.degree}")
-    prop = guessed.proportional_to(embedded)
-    lines.append(f"guessed relation proportional to the embedded one: {prop}")
-    ok = ok and prop
+    ok = (guessed.order, guessed.degree) == (5, 4) and recurrence.verify_recurrence(
+        guessed, terms
+    )
+    lines.append(f"guessed relation Q is a verified order-5, degree-4 relation: {ok}")
+
+    certificate = tuple(
+        intpoly.mul((5, 1), p) for p in embedded.coeff_polys
+    ) == recurrence.shift_left_multiply(5, guessed.coeff_polys)
+    lines.append(f"certificate (n+5)*P = (S+5)*Q, S the shift m_n -> m_{{n+1}}: {certificate}")
+    ok = ok and certificate
 
     scan = recurrence.minimality_scan(terms, max_order=5, max_degree=5)
-    empty = not scan.hits
-    lines.append(f"no verified relation with order <= 5, degree <= 5: {empty}")
-    ok = ok and empty
+    frontier = scan.frontier == ((5, 4),)
+    lines.append(
+        f"scan frontier for order <= 5, degree <= 5: {scan.frontier}, "
+        f"expected ((5, 4),): {frontier}"
+    )
+    ok = ok and frontier
 
     extended = recurrence.apply_recurrence(embedded, terms[:6], 101)
     dp = counting.count_sequence(spec, 100)

@@ -1,27 +1,41 @@
-"""Exact integer nullspace extraction for the guessers.
+"""Exact integer nullspaces for the guessers.
 
-Two routes, both exact:
+Both guessers solve many column prefixes of one homogeneous integer
+system: the (order, degree) cells of one recurrence order, or the
+y-degrees of one algebraic ansatz.  ``PrefixNullspaces`` answers every
+prefix width from one elimination:
 
-* Modular fast path: row echelon mod a 61-bit prime.  Full column rank
-  mod p is a sound certificate of an empty nullspace (reduction mod p
-  can only lower the rank).  Otherwise canonical candidate vectors are
-  lifted by CRT over further primes plus rational reconstruction, and
-  each candidate is verified against the original integer matrix
-  before being returned.  Primes come from ``prime_stream``: the ten
-  ``PRIMES61``, then every smaller prime in descending order, found
-  lazily by deterministic Miller-Rabin.  A prime whose pivot columns
-  come earlier than the first prime's shows that the first prime was
-  unlucky, and lifting restarts from it; a prime whose pivots come later
-  is unlucky itself and is skipped.  Lifting goes on until every
-  candidate verifies.  The guessers' largest relations need about 11
-  primes (coefficients of 330 bits), so a fixed budget of ten would
-  send them to the slow route.
+* One LU factorization mod a 61-bit prime (``backend.modp_echelon``).
+  Row operations never mix columns, so cut to its first w columns it
+  factors the width-w prefix, whose pivots are the ones below w.
+* Full rank.  w pivots below column w certify that the prefix has no
+  nullvector: reduction mod p can only lower the rank.
+* Otherwise every canonical nullvector of the prefix is lifted
+  p-adically (Dixon, Numer. Math. 1982) from the same factorization.
+  The canonical vector of free column f has 1 at f and 0 at the other
+  free columns and right of f, so it is the unique solution of the
+  square system of the pivot rows and pivot columns below f, which is
+  invertible mod p.  Each lifting step solves that system mod p by
+  substitution, in O(r^2) for r pivots below f, and divides the
+  residual by p.  After each step the vector is rationally
+  reconstructed and checked over the integers.  It depends on f alone,
+  so every wider prefix reuses it.
+* Unlucky primes.  When the prime's pivots below f are the rational
+  ones, the lift reaches the canonical vector before the p-adic modulus
+  passes 2 H^2, H the Hadamard bound of the first f + 1 columns.  Past
+  that bound the prime has lost a pivot, and the system is eliminated
+  again at the next prime of ``prime_stream`` (the ten ``PRIMES61``,
+  then every smaller prime in descending order, found lazily by
+  deterministic Miller-Rabin); primes whose pivots come later are
+  unlucky themselves and are skipped.  Free columns are lifted in
+  increasing order, and a vector counts only once every smaller free
+  column of its prime has one; so the free columns met are rational
+  ones and every vector returned is the rational canonical one.
 * Fraction-free fallback: Bareiss elimination over the integers with
-  exact back substitution.  Used when the CRT modulus exceeds twice
-  the square of the system's Hadamard bound without every candidate
-  verifying: with the right pivots, that modulus reconstructs every
-  entry, so only wrong pivots can get there.  Directly reachable via
-  ``force_exact`` so both routes stay tested against each other.
+  exact back substitution.  Used when the next prime shows the same
+  pivots as the one that failed, which only a broken check brings
+  about, and directly via ``force_exact`` so both routes stay tested
+  against each other.
 
 Nothing leaves this module unverified, so an unlucky prime can cost
 time but never an answer.
@@ -29,14 +43,16 @@ time but never an answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import backend
 from .errors import SelfCheckFailed
 
 # Ten largest primes below 2**61; products fit in unsigned 128-bit
-# words, which is what the compiled echelon kernel relies on.
+# words, which is what the compiled LU kernel relies on.
 PRIMES61 = (
     2305843009213693951,
     2305843009213693921,
@@ -109,23 +125,6 @@ def _normalize(v):
     return None
 
 
-def _modp_canonical(echelon, pivots, ncols, free_col, p):
-    # The unique mod-p nullvector with 1 at free_col and 0 at the other
-    # free columns; echelon rows have unit pivots.
-    v = [0] * ncols
-    v[free_col] = 1
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        row = echelon[r]
-        s = 0
-        for j in range(c + 1, ncols):
-            vj = v[j]
-            if vj and row[j]:
-                s += row[j] * vj
-        v[c] = -s % p
-    return v
-
-
 def _rat_recon(c, m):
     """Fraction p/q with p = c*q mod m and |p|, q <= sqrt(m/2), or None."""
     c %= m
@@ -157,63 +156,126 @@ def _reconstruct_vector(residues, m):
     return _normalize([int(f * den) for f in fracs])
 
 
-def _hadamard_bound(rows, ncols):
-    """Bound on the absolute value of every square minor of rows."""
-    norms = sorted(
-        (isqrt(sum(row[c] * row[c] for row in rows)) + 1 for c in range(ncols)),
-        reverse=True,
-    )
-    h = 1
-    for x in norms[: len(rows)]:
-        h *= x
-    return h
+class PrefixNullspaces:
+    """Verified canonical nullspaces of every column prefix of one system.
 
+    ``rows`` is an integer matrix (clear denominators first).
+    ``full_rank(w)`` and ``basis(w)`` answer for its first w columns by
+    the route in the module docstring.  The system is eliminated once,
+    here, and again only at an unlucky prime.
+    """
 
-def _modular_nullspace(rows, ncols, max_vectors):
-    """Verified basis via the modular route, [] for certified full rank,
-    or None when the route fails and the caller must go exact."""
-    pivots = None
-    limit = None
-    for p in prime_stream():
-        ech = [[v % p for v in row] for row in rows]
-        piv = backend.modp_echelon(ech, p)
-        # Reduction mod p can only lose pivots, so the rational pivot
-        # columns come first where two primes' pivot lists differ.
-        if pivots is None or piv + [ncols] < pivots + [ncols]:
-            if len(piv) == ncols:
-                return []
-            pivots = piv
-            pivset = set(pivots)
-            free_cols = [c for c in range(ncols) if c not in pivset]
-            if max_vectors is not None:
-                free_cols = free_cols[:max_vectors]
-            acc = {f: _modp_canonical(ech, pivots, ncols, f, p) for f in free_cols}
-            modulus = p
-            found = {}
-        elif piv != pivots:
-            continue  # unlucky prime: it loses a pivot the others have
-        else:
-            inv = pow(modulus % p, -1, p)
-            for f in free_cols:
-                if f in found:
-                    continue
-                vp = _modp_canonical(ech, piv, ncols, f, p)
-                acc[f] = [
-                    a + modulus * ((b - a) * inv % p) for a, b in zip(acc[f], vp)
-                ]
+    def __init__(self, rows):
+        self.rows = rows
+        self._primes = prime_stream()
+        self._norms = None
+        self._canonical = {}  # free column -> its verified canonical vector
+        self._adopt(*self._factor(next(self._primes)))
+
+    def _factor(self, p):
+        lu = [[v % p for v in row] for row in self.rows]
+        pivots, order = backend.modp_echelon(lu, p)
+        return p, lu, pivots, order
+
+    def _adopt(self, p, lu, pivots, order):
+        # The square block B of pivot rows and pivot columns, and its
+        # factors mod p: B = L U with L lower (pivot values on its
+        # diagonal, inverted here) and U unit upper.
+        self._p = p
+        self._pivots = pivots
+        self._inv = [pow(lu[k][c], -1, p) for k, c in enumerate(pivots)]
+        self._lower = [[lu[k][c] for c in pivots[:k]] for k in range(len(pivots))]
+        self._upper = [[lu[k][c] for c in pivots[k + 1 :]] for k in range(len(pivots))]
+        self._pivot_rows = [self.rows[i] for i in order[: len(pivots)]]
+        self._block = [[row[c] for c in pivots] for row in self._pivot_rows]
+
+    def full_rank(self, w) -> bool:
+        """Certified: the first w columns have no nullvector."""
+        return bisect_left(self._pivots, w) == w
+
+    def basis(self, w, max_vectors: int | None = None):
+        """Canonical verified nullvectors of the first w columns, one per
+        free column in increasing order, at most ``max_vectors``; []
+        exactly for full column rank.  The vectors are those of
+        ``nullspace_basis`` on the prefix."""
+        while True:
+            pivots = set(self._pivots)
+            free = [c for c in range(w) if c not in pivots][:max_vectors]
+            for f in free:
+                if f not in self._canonical:
+                    v = self._lift(f)
+                    if v is None:
+                        break
+                    self._canonical[f] = v
+            else:
+                return [self._canonical[f] + [0] * (w - f - 1) for f in free]
+            if not self._next_prime(f):
+                return _exact_nullspace([row[:w] for row in self.rows], w, max_vectors)
+
+    def _lift(self, f):
+        """The canonical nullvector of free column f, cut after f and
+        verified, or None once the modulus passes the Hadamard limit."""
+        p, inv, lower, upper = self._p, self._inv, self._lower, self._upper
+        r = bisect_left(self._pivots, f)
+        cols = self._pivots[:r]
+        # Solve B x = -(column f on the pivot rows), truncated to the
+        # pivots below f, one p-adic digit y per step.
+        res = [-row[f] for row in self._pivot_rows[:r]]
+        x = [0] * r
+        modulus = 1
+        limit = None
+        while True:
+            y = []
+            for k in range(r):
+                y.append((res[k] - sum(map(mul, lower[k], y))) * inv[k] % p)
+            for k in range(r - 1, -1, -1):
+                y[k] = (y[k] - sum(map(mul, upper[k], y[k + 1 :]))) % p
+            res = [(a - sum(map(mul, b, y))) // p for a, b in zip(res, self._block)]
+            x = [a + modulus * b for a, b in zip(x, y)]
             modulus *= p
-        for f in free_cols:
-            if f in found:
-                continue
-            v = _reconstruct_vector(acc[f], modulus)
-            if v is not None and is_nullvector(rows, v):
-                found[f] = v
-        if len(found) == len(free_cols):
-            return [found[f] for f in free_cols]
-        if limit is None:
-            limit = 2 * _hadamard_bound(rows, ncols) ** 2
-        if modulus > limit:
-            return None
+            v = [0] * (f + 1)
+            v[f] = 1
+            for c, a in zip(cols, x):
+                v[c] = a
+            v = _reconstruct_vector(v, modulus)
+            if v is not None and is_nullvector(self.rows, v):
+                return v
+            if limit is None:
+                limit = 2 * self._hadamard_bound(f + 1) ** 2
+            if modulus > limit:
+                return None
+
+    def _hadamard_bound(self, width):
+        """Bound on the absolute value of every square minor of the
+        first ``width`` columns."""
+        if self._norms is None:
+            ncols = len(self.rows[0])
+            self._norms = [
+                isqrt(sum(row[c] * row[c] for row in self.rows)) + 1 for c in range(ncols)
+            ]
+        h = 1
+        for x in sorted(self._norms[:width], reverse=True)[: len(self.rows)]:
+            h *= x
+        return h
+
+    def _next_prime(self, f):
+        """Adopt the next prime whose pivots on the first f + 1 columns
+        come earlier than the current prime's, skipping those whose come
+        later.  False when one shows the same pivots: the current prime
+        failed with them, so only the exact route is left."""
+
+        def head(pivots):
+            return pivots[: bisect_left(pivots, f + 1)] + [f + 1]
+
+        old = head(self._pivots)
+        for p in self._primes:
+            factored = self._factor(p)
+            new = head(factored[2])
+            if new < old:
+                self._adopt(*factored)
+                return True
+            if new == old:
+                return False
 
 
 def _exact_nullspace(rows, ncols, max_vectors):
@@ -250,32 +312,63 @@ def _exact_nullspace(rows, ncols, max_vectors):
 def nullspace_basis(rows, force_exact: bool = False, max_vectors: int | None = None):
     """Canonical verified integer nullvectors, one per free column.
 
-    Rows must have integer entries (clear denominators first).  Returns
-    [] exactly when the matrix has full column rank.  Every
-    returned vector is content-1, has positive first nonzero entry, and
-    satisfies rows @ v == 0 (checked over the integers, not mod p).
-    Deterministic: fixed primes, fixed scan order.
+    Rows must have integer entries (clear denominators first).  The
+    vector of free column f has 0 at the other free columns and right of
+    f; the first ``max_vectors`` free columns are returned, in
+    increasing order.  Returns [] exactly when the matrix has full
+    column rank.  Every returned vector is content-1, has positive first
+    nonzero entry, and satisfies rows @ v == 0 (checked over the
+    integers, not mod p).  Deterministic: one prime stream, fixed scan
+    order.  The single-width case of ``PrefixNullspaces``.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     if ncols == 0:
         return []
-    if nrows == 0:
-        out = []
-        top = ncols if max_vectors is None else min(ncols, max_vectors)
-        for f in range(top):
-            v = [0] * ncols
-            v[f] = 1
-            out.append(v)
-        return out
-    if not force_exact:
-        basis = _modular_nullspace(rows, ncols, max_vectors)
-        if basis is not None:
-            return basis
-    return _exact_nullspace(rows, ncols, max_vectors)
+    if force_exact:
+        return _exact_nullspace(rows, ncols, max_vectors)
+    return PrefixNullspaces(rows).basis(ncols, max_vectors)
 
 
 def nullvector(rows, force_exact: bool = False):
     """First canonical nullvector, or None for full column rank."""
     basis = nullspace_basis(rows, force_exact=force_exact, max_vectors=1)
     return basis[0] if basis else None
+
+
+def canonical_basis(vectors, max_vectors: int | None = None):
+    """The canonical basis of the span of independent integer vectors.
+
+    These are the vectors ``nullspace_basis`` returns for any matrix
+    whose nullspace is that span: a reduced echelon form read from the
+    last column, whose last nonzero entries sit on the free columns.
+    Exact; used to read a nullspace found in one column order in
+    another.  Returns the first ``max_vectors`` by free column.
+    """
+    ncols = len(vectors[0]) if vectors else 0
+    rest = [list(v) for v in vectors]
+    found = []
+    for c in range(ncols - 1, -1, -1):
+        k = next((i for i, v in enumerate(rest) if v[c]), None)
+        if k is None:
+            continue
+        piv = rest.pop(k)
+        rest = [_eliminate(v, piv, c) if v[c] else v for v in rest]
+        found.append((c, piv))
+        if not rest:
+            break
+    # Kept in increasing free column; each still has to be cleared at
+    # the smaller free columns, whose vectors are zero at every other
+    # free column, so the order of clearing does not matter.
+    found.reverse()
+    out = []
+    for c, v in found[:max_vectors]:
+        for c2, u in out:
+            if v[c2]:
+                v = _eliminate(v, u, c2)
+        out.append((c, v))
+    return [_normalize(v) for _, v in out]
+
+
+def _eliminate(v, piv, c):
+    """v with its entry at c cleared by a multiple of piv, content 1."""
+    return _normalize([piv[c] * a - v[c] * b for a, b in zip(v, piv)])

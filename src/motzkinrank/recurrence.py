@@ -12,24 +12,28 @@ candidate that verifies on every applicable instance including the
 withheld ones.  ``minimality_scan`` maps out the whole grid, which is
 how desk-scale minimality evidence is collected.
 
-Both scan order by order.  All cells of order k share the rows
-n = 0..len(terms)-k-guard-1, so order k's system is built once, with
-its columns degree-major (every m_{n+i} for n^0, then for n^1, ...),
-and row reduced once mod a 61-bit prime.  Cell (k, d) is then the
-column prefix of width w = (k+1)(d+1), and it has full column rank mod
-p exactly when the echelon has w pivots below column w.  That certifies
-an empty cell, as in ``linalg``; only the other cells are solved
-exactly.  ``guess_recurrence`` stops each order's degrees at the best
-verified cell found so far.
+Both scan order by order and make one elimination per order.  All
+cells of order k share the rows n = 0..len(terms)-k-guard-1, so order
+k's system is built once, with its columns degree-major (every m_{n+i}
+for n^0, then for n^1, ...), and handed to ``linalg.PrefixNullspaces``.
+Cell (k, d) is then the column prefix of width w = (k+1)(d+1): full
+column rank mod p, read off the pivots, certifies an empty cell, and
+otherwise the prefix's canonical nullvectors are lifted p-adically from
+the same factorization.  The candidates of a cell are the canonical
+vectors of its own order-major columns (all n-powers for m_n, then for
+m_{n+1}, ...), read exactly off that basis: when the cell's nullspace
+has dimension 2 or more, the two layouts can pick different canonical
+vectors, and the order-major ones are the cell's answer.
+``guess_recurrence`` stops each order's degrees at the best verified
+cell found so far.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
-from . import backend, intpoly, linalg, published
+from . import intpoly, linalg, published
 from .errors import (
     InsufficientTerms,
     NonIntegralStep,
@@ -150,42 +154,6 @@ def apply_recurrence(rec: Recurrence, seeds, count: int) -> list[int]:
     return out[:count]
 
 
-def _solve_cell(terms, k, d, guard, max_candidates=8):
-    """Verified relation of order exactly <= k and degree <= d, or None.
-
-    Builds the homogeneous system over rows n = 0..(len-k-guard-1),
-    leaving the last ``guard`` applicable instances out, and verifies
-    any candidate on all instances.  A candidate whose top polynomials
-    vanish is kept at its true (lower) order.
-    """
-    rows_n = len(terms) - k - guard
-    unknowns = (k + 1) * (d + 1)
-    if rows_n < unknowns:
-        return None
-    rows = []
-    for n in range(rows_n):
-        row = []
-        for i in range(k + 1):
-            t = terms[n + i]
-            e = 1
-            for _ in range(d + 1):
-                row.append(t * e)
-                e *= n
-        rows.append(row)
-    for vec in linalg.nullspace_basis(rows, max_vectors=max_candidates):
-        polys = [
-            intpoly.trim(vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(k + 1)
-        ]
-        while polys and not polys[-1]:
-            polys.pop()
-        if len(polys) < 2:
-            continue
-        rec = Recurrence(tuple(polys))
-        if verify_recurrence(rec, terms):
-            return rec.normalized()
-    return None
-
-
 def _check_terms(terms, max_order, max_degree, guard):
     if max_order < 1 or max_degree < 0:
         raise ValueError("need max_order >= 1 and max_degree >= 0")
@@ -202,24 +170,50 @@ def _check_terms(terms, max_order, max_degree, guard):
         )
 
 
-def _full_rank_cells(terms, k, max_degree, guard):
-    """full[d] is True when cell (k, d) has full column rank mod a prime,
-    which certifies that it admits no relation (see module docstring)."""
-    p = linalg.PRIMES61[0]
+def _order_system(terms, k, max_degree, guard):
+    """Order k's system over rows n = 0..len-k-guard-1 (the last
+    ``guard`` applicable instances withheld), columns degree-major up to
+    ``max_degree``: every m_{n+i} for n^0, then for n^1, and so on."""
     rows = []
     for n in range(len(terms) - k - guard):
-        window = [t % p for t in terms[n : n + k + 1]]
+        window = terms[n : n + k + 1]
         row = []
         e = 1
         for _ in range(max_degree + 1):
-            row += [t * e % p for t in window]
-            e = e * n % p
+            row += [t * e for t in window]
+            e *= n
         rows.append(row)
-    pivots = backend.modp_echelon(rows, p)
-    return [
-        bisect_left(pivots, w) == w
-        for w in ((k + 1) * (d + 1) for d in range(max_degree + 1))
+    return linalg.PrefixNullspaces(rows)
+
+
+def _cell_relation(terms, system, k, d, max_candidates=8):
+    """Verified relation of order <= k and degree <= d, or None.
+
+    The candidates are the canonical nullvectors of the cell's own
+    order-major columns (all n-powers for m_n, then for m_{n+1}, ...),
+    read exactly off the degree-major prefix's basis, and each must hold
+    on every instance of the terms.  A candidate whose top polynomials
+    vanish is kept at its true (lower) order.
+    """
+    w = (k + 1) * (d + 1)
+    if system.full_rank(w):
+        return None
+    basis = [
+        [v[j * (k + 1) + i] for i in range(k + 1) for j in range(d + 1)]
+        for v in system.basis(w)
     ]
+    for vec in linalg.canonical_basis(basis, max_candidates):
+        polys = [
+            intpoly.trim(vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(k + 1)
+        ]
+        while polys and not polys[-1]:
+            polys.pop()
+        if len(polys) < 2:
+            continue
+        rec = Recurrence(tuple(polys))
+        if verify_recurrence(rec, terms):
+            return rec.normalized()
+    return None
 
 
 def guess_recurrence(terms, max_order: int, max_degree: int, guard: int = 8):
@@ -239,13 +233,12 @@ def guess_recurrence(terms, max_order: int, max_degree: int, guard: int = 8):
         top = min(max_degree, bound - k - 1)
         if top < 0:
             break
-        full = _full_rank_cells(terms, k, top, guard)
+        system = _order_system(terms, k, top, guard)
         for d in range(top + 1):
-            if not full[d]:
-                rec = _solve_cell(terms, k, d, guard)
-                if rec is not None:
-                    best, bound = rec, k + d
-                    break
+            rec = _cell_relation(terms, system, k, d)
+            if rec is not None:
+                best, bound = rec, k + d
+                break
     return best
 
 
@@ -287,11 +280,11 @@ def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
     _check_terms(terms, max_order, max_degree, guard)
     hits = []
     for k in range(1, max_order + 1):
-        full = _full_rank_cells(terms, k, max_degree, guard)
+        system = _order_system(terms, k, max_degree, guard)
         hits += [
             (k, d)
             for d in range(max_degree + 1)
-            if not full[d] and _solve_cell(terms, k, d, guard) is not None
+            if _cell_relation(terms, system, k, d) is not None
         ]
     return MinimalityReport(
         terms_used=len(terms),
@@ -300,6 +293,21 @@ def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
         guard=guard,
         hits=tuple(hits),
     )
+
+
+def shift_left_multiply(c: int, polys) -> tuple[tuple[int, ...], ...]:
+    """Coefficients of (S + c) * sum_i polys[i](n) S^i, where S is the
+    shift m_n -> m_{n+1}: S * p(n) S^i = p(n + 1) S^(i + 1)."""
+
+    def shifted(p):  # p(n + 1), by Horner in the ring Z[n]
+        acc = ()
+        for v in reversed(p):
+            acc = intpoly.add(intpoly.mul(acc, (1, 1)), (v,))
+        return acc
+
+    lower = [intpoly.scale(p, c) for p in polys] + [()]
+    upper = [()] + [shifted(p) for p in polys]
+    return tuple(intpoly.add(a, b) for a, b in zip(lower, upper))
 
 
 def rank1_recurrence(u: int, l: int, d: int) -> Recurrence:

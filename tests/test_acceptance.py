@@ -15,6 +15,7 @@ from conftest import record_criterion
 
 import motzkinrank as mr
 from motzkinrank import intpoly, published
+from motzkinrank.recurrence import shift_left_multiply
 
 ALL_ONES = {r: mr.WeightSpec.all_ones(r) for r in (1, 2, 3, 4)}
 
@@ -115,20 +116,6 @@ def test_c3_equation_rediscovery(series60, r3_series_120, r4_series_170):
     assert ok
 
 
-def _shift_left_multiply(c, polys):
-    """Coefficients of (S + c) * sum_i polys[i](n) S^i, where S is the
-    shift m_n -> m_{n+1}: S * p(n) S^i = p(n+1) S^(i+1)."""
-    def shifted(p):  # p(n + 1), by Horner in the ring Z[n]
-        acc = ()
-        for v in reversed(p):
-            acc = intpoly.add(intpoly.mul(acc, (1, 1)), (v,))
-        return acc
-
-    lower = [intpoly.scale(p, c) for p in polys] + [()]
-    upper = [()] + [shifted(p) for p in polys]
-    return tuple(intpoly.add(a, b) for a, b in zip(lower, upper))
-
-
 def test_c4_recurrence_rediscovery():
     # The seven-term relation P is genuinely satisfied by the sequence,
     # and extending from six seeds reproduces the dp values.  It is not
@@ -153,7 +140,7 @@ def test_c4_recurrence_rediscovery():
     )
     certificate_ok = guess_ok and tuple(
         intpoly.mul((5, 1), p) for p in embedded.coeff_polys
-    ) == _shift_left_multiply(5, guessed.coeff_polys)
+    ) == shift_left_multiply(5, guessed.coeff_polys)
 
     scan = mr.minimality_scan(terms, max_order=5, max_degree=5)
     scan_ok = scan.hits == ((5, 4), (5, 5)) and scan.frontier == ((5, 4),)

@@ -131,3 +131,15 @@ def test_general_equation_check():
     assert mr.rank2_general_equation_check(2, 1, 0, 1, 2)
     with pytest.raises(mr.InsufficientOrder):
         mr.rank2_general_equation_check(1, 1, 1, 1, 1, order=20)
+
+
+def test_uniform_ansatz_finds_equations_outside_the_shape():
+    # x M(x) for the Motzkin series M satisfies x + (x - 1) y + x y^2 = 0,
+    # whose a_0 = x breaks deg a_i <= i: only the uniform family (its own
+    # system, tried after the per-degree one) contains it.
+    motzkin = mr.count_sequence(mr.WeightSpec.all_ones(1), 38)
+    shifted = mr.CoeffSeries([0] + motzkin)
+    report = mr.guess_algebraic_equation(shifted, 2, max_x_degree=1)
+    assert report.found and report.ansatz == "uniform"
+    assert report.equation == AlgebraicEquation(((0, 1), (-1, 1), (0, 1)))
+    assert not mr.guess_algebraic_equation(shifted, 2).found

@@ -54,19 +54,62 @@ def test_conv_trunc_parity():
         assert pure.conv_trunc(a, b, n) == compiled.conv_trunc(a, b, n)
 
 
+def _lu_product(lu, pivots, p):
+    """Rows of L * U mod p, read back from modp_echelon's compact output."""
+    ncols = len(lu[0])
+    upper = []
+    for k, c in enumerate(pivots):
+        u = [0] * c + [1] + lu[k][c + 1 :]
+        for c2 in pivots[k + 1 :]:
+            assert u[c2] == lu[k][c2]
+        upper.append(u)
+    out = []
+    for i, row in enumerate(lu):
+        mults = [row[c] for c in pivots[: min(i + 1, len(pivots))]]
+        for c in range(ncols):
+            if c not in pivots[: len(mults)] and (i >= len(pivots) or c < pivots[i]):
+                assert row[c] == 0  # nothing left of the pivot but multipliers
+        out.append([sum(m * u[j] for m, u in zip(mults, upper)) % p for j in range(ncols)])
+    return out
+
+
+def _random_lu_cases(rng, p, count):
+    for _ in range(count):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(m, n))
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(m)]
+        right = [[rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(rank)]
+        yield [
+            [sum(row[t] * right[t][j] for t in range(rank)) % p for j in range(n)]
+            for row in left
+        ]
+
+
+@pytest.mark.parametrize("p", [97, PRIMES61[0], PRIMES61[-1]])
+def test_modp_echelon_factors_its_input(p):
+    # The compact output is P A = L U mod p: input row order[i] is the
+    # product of row i of L (multipliers, pivot values on the diagonal)
+    # with the unit upper rows.
+    rng = random.Random(p)
+    for rows in _random_lu_cases(rng, p, 40):
+        lu = [r[:] for r in rows]
+        pivots, order = pure.modp_echelon(lu, p)
+        assert sorted(order) == list(range(len(rows)))
+        assert pivots == sorted(pivots)
+        assert _lu_product(lu, pivots, p) == [rows[i] for i in order]
+
+
 @needs_ext
 def test_modp_echelon_parity():
     rng = random.Random(3)
     for p in (97, PRIMES61[0], PRIMES61[-1]):
-        for _ in range(20):
-            m, n = rng.randint(1, 7), rng.randint(1, 7)
-            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        for rows in _random_lu_cases(rng, p, 20):
             a = [r[:] for r in rows]
             b = [r[:] for r in rows]
-            piv_pure = pure.modp_echelon(a, p)
-            piv_comp = compiled.modp_echelon(b, p)
-            assert piv_pure == piv_comp
-            assert a == b  # both reduce in place to the same echelon form
+            out_pure = pure.modp_echelon(a, p)
+            out_comp = compiled.modp_echelon(b, p)
+            assert out_pure == out_comp  # same pivots and row order
+            assert a == b  # same multipliers, pivot values and U in place
 
 
 @needs_ext

@@ -6,10 +6,15 @@ import sys
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import motzkinrank as mr
 from motzkinrank import SelfCheckFailed, backend, linalg
 from motzkinrank.linalg import (
     PRIMES61,
+    PrefixNullspaces,
+    canonical_basis,
     is_nullvector,
     nullspace_basis,
     nullvector,
@@ -111,7 +116,8 @@ def test_wide_and_tall_shapes():
 def test_modular_route_lifts_past_the_fixed_primes(monkeypatch):
     # 2 x 3 with 360-bit entries: the nullvector's entries are 2 x 2
     # minors of about 720 bits, far beyond what ten 61-bit primes
-    # reconstruct, and the modular route must still get there alone.
+    # reconstruct; the p-adic lift gets there from one elimination,
+    # without Bareiss.
     rng = random.Random(2024)
     rows = random_matrix(rng, 2, 3, 2**360)
     exact = nullspace_basis(rows, force_exact=True)
@@ -127,7 +133,7 @@ def test_modular_route_lifts_past_the_fixed_primes(monkeypatch):
         backend, "modp_echelon", lambda rows, p: calls.append(p) or echelon(rows, p)
     )
     assert nullspace_basis(rows) == exact
-    assert len(calls) > len(PRIMES61)
+    assert calls == [PRIMES61[0]]
 
 
 def test_unlucky_first_prime_restarts_the_lift(monkeypatch):
@@ -144,6 +150,19 @@ def test_unlucky_first_prime_restarts_the_lift(monkeypatch):
 
     monkeypatch.setattr(backend, "bareiss_echelon", no_bareiss)
     assert nullspace_basis(rows) == exact
+
+
+def test_prime_unlucky_in_one_prefix_is_left_for_the_wider_ones(monkeypatch):
+    # Column 1 vanishes mod the first prime but not over Q.  Width 2
+    # shows it up (its lift cannot verify), the next prime takes over,
+    # and every width keeps the exact route's canonical basis.
+    p0 = PRIMES61[0]
+    rows = [[1, 0, 1, 1, 0], [0, p0, 1, 0, 1], [1, p0, 2, 1, 1]]
+    exact = [nullspace_basis([row[:w] for row in rows], force_exact=True) for w in range(6)]
+    calls = _count_eliminations(monkeypatch)
+    system = PrefixNullspaces(rows)
+    assert [system.basis(w) for w in range(6)] == exact
+    assert calls == [5, 5]
 
 
 def _strong_probable_prime(n, a):
@@ -218,3 +237,76 @@ def test_failed_exact_check_is_a_typed_error(monkeypatch):
     assert bareiss == [1]
     with pytest.raises(SelfCheckFailed):
         nullspace_basis([[1, 2, 3]], force_exact=True)
+
+
+@st.composite
+def _prefix_systems(draw):
+    # Products of random factors: rank-deficient whenever the inner
+    # dimension is below both sides, with entries up to about 2**400;
+    # some columns are then zeroed.
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(m, n)))
+    big = st.integers(-(2**200), 2**200)
+    left = [[draw(big) for _ in range(k)] for _ in range(m)]
+    right = [[draw(big) for _ in range(n)] for _ in range(k)]
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [
+        [0 if j in zero else sum(row[t] * right[t][j] for t in range(k)) for j in range(n)]
+        for row in left
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_prefix_systems())
+def test_every_prefix_matches_the_exact_route(rows):
+    system = PrefixNullspaces(rows)
+    for w in range(1, len(rows[0]) + 1):
+        exact = nullspace_basis([row[:w] for row in rows], force_exact=True)
+        assert system.full_rank(w) == (exact == [])
+        assert system.basis(w, max_vectors=1) == exact[:1]
+        assert system.basis(w) == exact
+
+
+def test_canonical_basis_reads_a_span_in_another_column_order():
+    rng = random.Random(5)
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(2, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+        perm = rng.sample(range(n), n)
+        basis = nullspace_basis(rows)
+        moved = [[v[c] for c in perm] for v in basis]
+        assert canonical_basis(moved) == nullspace_basis(
+            [[row[c] for c in perm] for row in rows], force_exact=True
+        )
+        assert canonical_basis(moved, 1) == canonical_basis(moved)[:1]
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+    echelon = backend.modp_echelon
+    monkeypatch.setattr(
+        backend, "modp_echelon", lambda rows, p: calls.append(len(rows[0])) or echelon(rows, p)
+    )
+    monkeypatch.setattr(backend, "bareiss_echelon", None)
+    return calls
+
+
+def test_minimality_scan_eliminates_once_per_order(monkeypatch):
+    terms = mr.count_sequence(mr.WeightSpec.all_ones(2), 119)
+    calls = _count_eliminations(monkeypatch)
+    report = mr.minimality_scan(terms, max_order=5, max_degree=5)
+    assert report.hits == ((5, 4), (5, 5))
+    assert calls == [6 * (k + 1) for k in range(1, 6)]
+
+
+def test_rank4_equation_guess_eliminates_once(monkeypatch):
+    # Every y-degree below 16 is a full-rank prefix of the y-degree-16
+    # ansatz, so the one elimination certifies them all.
+    series = mr.CoeffSeries(mr.count_sequence(mr.WeightSpec.all_ones(4), 169))
+    calls = _count_eliminations(monkeypatch)
+    report = mr.guess_algebraic_equation(series, 16)
+    assert report.found and report.equation.y_degree == 16
+    assert mr.check_shape_conjecture(report.equation, 4)
+    assert calls == [153]

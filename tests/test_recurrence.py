@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import motzkinrank as mr
-from motzkinrank import MinimalityReport, Recurrence
-from motzkinrank.recurrence import _solve_cell
+from motzkinrank import MinimalityReport, Recurrence, intpoly, linalg
+from motzkinrank.recurrence import shift_left_multiply
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,22 @@ def test_rank2_shorter_relation_is_genuine(rank2):
     assert mr.apply_recurrence(rec, longer[:5], 201) == longer
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(-3, 3),
+    st.lists(st.lists(st.integers(-5, 5), max_size=4), min_size=2, max_size=4),
+    st.lists(st.integers(-50, 50), min_size=12, max_size=12),
+)
+def test_shift_left_multiply_applies_the_shift_after_the_operator(c, polys, seq):
+    # ((S + c) L m)(n) = (L m)(n + 1) + c (L m)(n) for any sequence m
+    def apply(ops, n):
+        return sum(intpoly.evaluate(p, n) * seq[n + i] for i, p in enumerate(ops))
+
+    product = shift_left_multiply(c, polys)
+    for n in range(len(seq) - len(polys)):
+        assert apply(product, n) == apply(polys, n + 1) + c * apply(polys, n)
+
+
 def test_frontier_keeps_the_minimal_hits():
     report = MinimalityReport(
         terms_used=100, max_order=8, max_degree=6, guard=8,
@@ -159,6 +175,31 @@ def test_frontier_keeps_the_minimal_hits():
     assert report.frontier == ((2, 5), (3, 3), (5, 1), (7, 0))
     assert MinimalityReport(100, 3, 3, 8, ()).frontier == ()
     assert MinimalityReport(100, 3, 3, 8, ((2, 2),)).frontier == ((2, 2),)
+
+
+def _solve_cell(terms, k, d, guard, max_candidates=8):
+    """Reference for one cell, independent of the order-major scan: the
+    cell's own order-major system (all n-powers for m_n, then for
+    m_{n+1}, ...) solved by ``nullspace_basis``, and the first of its
+    canonical vectors that verifies on all terms."""
+    rows_n = len(terms) - k - guard
+    if rows_n < (k + 1) * (d + 1):
+        return None
+    rows = []
+    for n in range(rows_n):
+        rows.append([terms[n + i] * n**j for i in range(k + 1) for j in range(d + 1)])
+    for vec in linalg.nullspace_basis(rows, max_vectors=max_candidates):
+        polys = [
+            intpoly.trim(vec[i * (d + 1) : (i + 1) * (d + 1)]) for i in range(k + 1)
+        ]
+        while polys and not polys[-1]:
+            polys.pop()
+        if len(polys) < 2:
+            continue
+        rec = Recurrence(tuple(polys))
+        if mr.verify_recurrence(rec, terms):
+            return rec.normalized()
+    return None
 
 
 def _cell_by_cell(terms, max_order, max_degree, guard=8):
@@ -172,6 +213,27 @@ def _cell_by_cell(terms, max_order, max_degree, guard=8):
     hits = tuple(cell for cell, rec in recs.items() if rec is not None)
     first = min(hits, key=lambda kd: (kd[0] + kd[1], kd[0]), default=None)
     return (recs[first] if first else None), hits
+
+
+@pytest.mark.parametrize(
+    "weights, start, end, n_terms, grid",
+    [("1,3;0;1,0", 1, 2, 75, (5, 4)), ("1,0;2;1,3", 2, 1, 54, (6, 4))],
+)
+def test_nullity_two_cells_keep_their_own_candidates(weights, start, end, n_terms, grid):
+    # The first hit cell has a nullspace of dimension >= 2, whose
+    # canonical vectors differ between the scan's degree-major columns
+    # and the cell's own order-major ones; the guess must be the
+    # order-major one, as when each cell is solved on its own.
+    terms = mr.count_sequence(mr.WeightSpec.parse(weights), n_terms - 1, start, end)
+    guess, hits = _cell_by_cell(terms, *grid)
+    k, d = min(hits, key=lambda kd: (kd[0] + kd[1], kd[0]))
+    rows = [
+        [terms[n + i] * n**j for j in range(d + 1) for i in range(k + 1)]
+        for n in range(len(terms) - k - 8)
+    ]
+    assert len(linalg.nullspace_basis(rows)) >= 2
+    assert mr.guess_recurrence(terms, *grid) == guess
+    assert mr.minimality_scan(terms, *grid).hits == hits
 
 
 @st.composite
