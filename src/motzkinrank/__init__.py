@@ -9,9 +9,9 @@ satisfy, and guesses and verifies polynomial-coefficient recurrences
 for the count sequences (rank 1 gives the Motzkin numbers A001006,
 rank 2 gives A104184).
 
-Hot loops run in a compiled extension when it is available; set
-MOTZKINRANK_PURE=1 to force the pure Python kernels (``backend.BACKEND``
-tells which one is active).
+Everything is pure Python.  The four hot loops (series convolution,
+the counting DP step, modular and fraction-free elimination) live in
+``motzkinrank.backend``; ``BACKEND`` names that implementation.
 """
 
 from .algebraic import (

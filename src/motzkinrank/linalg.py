@@ -51,8 +51,8 @@ from operator import mul
 from . import backend
 from .errors import SelfCheckFailed
 
-# Ten largest primes below 2**61; products fit in unsigned 128-bit
-# words, which is what the compiled LU kernel relies on.
+# Ten largest primes below 2**61, so each p-adic lifting step gains 61
+# bits.
 PRIMES61 = (
     2305843009213693951,
     2305843009213693921,
