@@ -22,8 +22,7 @@ constant coefficient 1, and deg a_i <= i, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import backend, intpoly, linalg, published
 from .errors import InsufficientOrder, InvalidSpec, UnsupportedRank
@@ -105,10 +104,7 @@ class AlgebraicEquation:
                 parts.append(f"{intpoly.to_str(p)}*{y}")
             else:
                 parts.append(f"({intpoly.to_str(p)})*{y}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out + " = 0"
+        return intpoly.signed_sum(parts) + " = 0"
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,21 +144,6 @@ def verify_algebraic_equation(
     return not any(eq.residual(series, order).coeffs)
 
 
-def _int_rows(rows):
-    # Scale each row to integers (nullspace is invariant under row scaling).
-    out = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = lcm(den, v.denominator)
-        if den == 1:
-            out.append([int(v) for v in row])
-        else:
-            out.append([int(v * den) for v in row])
-    return out
-
-
 @dataclass(frozen=True)
 class GuessReport:
     found: bool
@@ -179,7 +160,8 @@ def _ansatz_system(f_pows, order, bounds):
     over the first ``order`` coefficients of P(x, F(x))."""
     cols = [(i, j) for i, b in enumerate(bounds) for j in range(b + 1)]
     rows = [[f_pows[i][n - j] if n >= j else 0 for i, j in cols] for n in range(order)]
-    return cols, linalg.PrefixNullspaces(_int_rows(rows))
+    # Scaling a row to integers keeps the nullspace.
+    return cols, linalg.PrefixNullspaces([linalg.clear_denominators(row) for row in rows])
 
 
 def guess_algebraic_equation(

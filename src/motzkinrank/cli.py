@@ -524,13 +524,14 @@ def _cmd_reproduce(args):
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motzkinrank",
+        allow_abbrev=False,
         description="Exact counting, series, equations, and recurrences "
         "for colored Motzkin paths of arbitrary rank.",
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def new_sub(name, help_text, default_format="json"):
-        sub = subs.add_parser(name, help=help_text, description=help_text)
+        sub = subs.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         _add_output_args(sub, default_format)
         sub.set_defaults(_parser=sub)
         return sub

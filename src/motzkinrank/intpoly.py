@@ -67,22 +67,25 @@ def content(p) -> int:
 
 def to_str(p, var: str = "x") -> str:
     """Human form, descending degree: ``2*x^3 - x + 1``."""
-    if not p:
+    return signed_sum([monomial(p[k], k, var) for k in range(len(p) - 1, -1, -1) if p[k]])
+
+
+def monomial(v, k: int, var: str = "x") -> str:
+    """``v*var^k`` in human form: ``-2*x^3``, ``x``, ``-1/2``."""
+    sign = "-" if v < 0 else ""
+    mag = abs(v)
+    if k == 0:
+        return f"{sign}{mag}"
+    x = var if k == 1 else f"{var}^{k}"
+    return sign + (x if mag == 1 else f"{mag}*{x}")
+
+
+def signed_sum(terms) -> str:
+    """Terms joined by `` + `` or, for a term with a leading ``-``, by
+    `` - ``: ``["x", "-2", "y"]`` gives ``x - 2 + y``; "0" for none."""
+    if not terms:
         return "0"
-    terms = []
-    for k in range(len(p) - 1, -1, -1):
-        v = p[k]
-        if not v:
-            continue
-        mag = abs(v)
-        if k == 0:
-            body = str(mag)
-        else:
-            x = var if k == 1 else f"{var}^{k}"
-            body = x if mag == 1 else f"{mag}*{x}"
-        terms.append((v < 0, body))
-    neg_first, body = terms[0]
-    out = ("-" if neg_first else "") + body
-    for is_neg, body in terms[1:]:
-        out += (" - " if is_neg else " + ") + body
+    out = terms[0]
+    for term in terms[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
     return out

@@ -5,9 +5,10 @@ system: the (order, degree) cells of one recurrence order, or the
 y-degrees of one algebraic ansatz.  ``PrefixNullspaces`` answers every
 prefix width from one elimination:
 
-* One LU factorization mod a 61-bit prime (``backend.modp_echelon``).
-  Row operations never mix columns, so cut to its first w columns it
-  factors the width-w prefix, whose pivots are the ones below w.
+* One LU factorization mod the 61-bit prime ``PRIME``
+  (``backend.modp_echelon``).  Row operations never mix columns, so cut
+  to its first w columns it factors the width-w prefix, whose pivots
+  are the ones below w.
 * Full rank.  w pivots below column w certify that the prefix has no
   nullvector: reduction mod p can only lower the rank.
 * Otherwise every canonical nullvector of the prefix is lifted
@@ -20,21 +21,21 @@ prefix width from one elimination:
   residual by p.  After each step the vector is rationally
   reconstructed and checked over the integers.  It depends on f alone,
   so every wider prefix reuses it.
-* Unlucky primes.  When the prime's pivots below f are the rational
+* Unlucky prime.  When the prime's pivots below f are the rational
   ones, the lift reaches the canonical vector before the p-adic modulus
   passes 2 H^2, H the Hadamard bound of the first f + 1 columns.  Past
-  that bound the prime has lost a pivot, and the system is eliminated
-  again at the next prime of ``prime_stream`` (the ten ``PRIMES61``,
-  then every smaller prime in descending order, found lazily by
-  deterministic Miller-Rabin); primes whose pivots come later are
-  unlucky themselves and are skipped.  Free columns are lifted in
-  increasing order, and a vector counts only once every smaller free
-  column of its prime has one; so the free columns met are rational
-  ones and every vector returned is the rational canonical one.
-* Fraction-free fallback: Bareiss elimination over the integers with
-  exact back substitution.  Used when the next prime shows the same
-  pivots as the one that failed, which only a broken check brings
-  about, and directly via ``force_exact`` so both routes stay tested
+  that bound the prime has lost a pivot: it divides a pivot minor.
+  Free columns are lifted in increasing order, so the first one that
+  fails is the first column the prime gets wrong, and every vector
+  lifted before it is the rational canonical one.  That column f is
+  recorded: prefixes of width at most f are still answered from the
+  prime, and every wider one goes to the exact route.  So an unlucky
+  prime costs one Bareiss elimination per width asked past f, not one
+  more modular elimination; none of the systems the guessers build in
+  the tests or the benchmark meets one.
+* Exact route, ``exact_nullspace``: Bareiss elimination over the
+  integers with exact back substitution.  The last resort after an
+  unlucky prime, and callable directly so both routes stay tested
   against each other.
 
 Nothing leaves this module unverified, so an unlucky prime can cost
@@ -51,56 +52,9 @@ from operator import mul
 from . import backend
 from .errors import SelfCheckFailed
 
-# Ten largest primes below 2**61, so each p-adic lifting step gains 61
+# The largest prime below 2**61, so each p-adic lifting step gains 61
 # bits.
-PRIMES61 = (
-    2305843009213693951,
-    2305843009213693921,
-    2305843009213693907,
-    2305843009213693723,
-    2305843009213693693,
-    2305843009213693669,
-    2305843009213693613,
-    2305843009213693561,
-    2305843009213693549,
-    2305843009213693487,
-)
-
-# Miller-Rabin with these bases is exact below 3.3e24, far above 2**61.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def prime_stream():
-    """PRIMES61, then every smaller prime in descending order, lazily."""
-    yield from PRIMES61
-    n = PRIMES61[-1] - 2
-    while True:
-        if _is_prime(n):
-            yield n
-        n -= 2
+PRIME = 2**61 - 1
 
 
 def is_nullvector(rows, v) -> bool:
@@ -150,10 +104,15 @@ def _reconstruct_vector(residues, m):
         if f is None:
             return None
         fracs.append(f)
-    den = 1
-    for f in fracs:
-        den = lcm(den, f.denominator)
-    return _normalize([int(f * den) for f in fracs])
+    return _normalize(clear_denominators(fracs))
+
+
+def clear_denominators(values):
+    """Ints and Fractions scaled to ints by the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    if den == 1:
+        return [int(v) for v in values]
+    return [int(v * den) for v in values]
 
 
 class PrefixNullspaces:
@@ -162,31 +121,25 @@ class PrefixNullspaces:
     ``rows`` is an integer matrix (clear denominators first).
     ``full_rank(w)`` and ``basis(w)`` answer for its first w columns by
     the route in the module docstring.  The system is eliminated once,
-    here, and again only at an unlucky prime.
+    here, mod ``PRIME``.
     """
 
     def __init__(self, rows):
         self.rows = rows
-        self._primes = prime_stream()
         self._norms = None
         self._canonical = {}  # free column -> its verified canonical vector
-        self._adopt(*self._factor(next(self._primes)))
-
-    def _factor(self, p):
-        lu = [[v % p for v in row] for row in self.rows]
+        self._unlucky = None  # first free column whose lift failed
+        p = PRIME
+        lu = [[v % p for v in row] for row in rows]
         pivots, order = backend.modp_echelon(lu, p)
-        return p, lu, pivots, order
-
-    def _adopt(self, p, lu, pivots, order):
         # The square block B of pivot rows and pivot columns, and its
         # factors mod p: B = L U with L lower (pivot values on its
         # diagonal, inverted here) and U unit upper.
-        self._p = p
         self._pivots = pivots
         self._inv = [pow(lu[k][c], -1, p) for k, c in enumerate(pivots)]
         self._lower = [[lu[k][c] for c in pivots[:k]] for k in range(len(pivots))]
         self._upper = [[lu[k][c] for c in pivots[k + 1 :]] for k in range(len(pivots))]
-        self._pivot_rows = [self.rows[i] for i in order[: len(pivots)]]
+        self._pivot_rows = [rows[i] for i in order[: len(pivots)]]
         self._block = [[row[c] for c in pivots] for row in self._pivot_rows]
 
     def full_rank(self, w) -> bool:
@@ -198,24 +151,24 @@ class PrefixNullspaces:
         free column in increasing order, at most ``max_vectors``; []
         exactly for full column rank.  The vectors are those of
         ``nullspace_basis`` on the prefix."""
-        while True:
+        if self._unlucky is None or w <= self._unlucky:
             pivots = set(self._pivots)
             free = [c for c in range(w) if c not in pivots][:max_vectors]
             for f in free:
                 if f not in self._canonical:
                     v = self._lift(f)
                     if v is None:
+                        self._unlucky = f
                         break
                     self._canonical[f] = v
             else:
                 return [self._canonical[f] + [0] * (w - f - 1) for f in free]
-            if not self._next_prime(f):
-                return _exact_nullspace([row[:w] for row in self.rows], w, max_vectors)
+        return exact_nullspace([row[:w] for row in self.rows], max_vectors)
 
     def _lift(self, f):
         """The canonical nullvector of free column f, cut after f and
         verified, or None once the modulus passes the Hadamard limit."""
-        p, inv, lower, upper = self._p, self._inv, self._lower, self._upper
+        p, inv, lower, upper = PRIME, self._inv, self._lower, self._upper
         r = bisect_left(self._pivots, f)
         cols = self._pivots[:r]
         # Solve B x = -(column f on the pivot rows), truncated to the
@@ -258,27 +211,10 @@ class PrefixNullspaces:
             h *= x
         return h
 
-    def _next_prime(self, f):
-        """Adopt the next prime whose pivots on the first f + 1 columns
-        come earlier than the current prime's, skipping those whose come
-        later.  False when one shows the same pivots: the current prime
-        failed with them, so only the exact route is left."""
 
-        def head(pivots):
-            return pivots[: bisect_left(pivots, f + 1)] + [f + 1]
-
-        old = head(self._pivots)
-        for p in self._primes:
-            factored = self._factor(p)
-            new = head(factored[2])
-            if new < old:
-                self._adopt(*factored)
-                return True
-            if new == old:
-                return False
-
-
-def _exact_nullspace(rows, ncols, max_vectors):
+def exact_nullspace(rows, max_vectors: int | None = None):
+    """``nullspace_basis`` by Bareiss elimination over the integers."""
+    ncols = len(rows[0]) if rows else 0
     work = [list(row) for row in rows]
     pivots = backend.bareiss_echelon(work)
     if len(pivots) == ncols:
@@ -299,17 +235,14 @@ def _exact_nullspace(rows, ncols, max_vectors):
                 if v[j] and row[j]:
                     s += row[j] * v[j]
             v[c] = -s / row[c]
-        den = 1
-        for x in v:
-            den = lcm(den, x.denominator)
-        ints = _normalize([int(x * den) for x in v])
+        ints = _normalize(clear_denominators(v))
         if ints is None or not is_nullvector(rows, ints):
             raise SelfCheckFailed("exact elimination produced an invalid vector")
         out.append(ints)
     return out
 
 
-def nullspace_basis(rows, force_exact: bool = False, max_vectors: int | None = None):
+def nullspace_basis(rows, max_vectors: int | None = None):
     """Canonical verified integer nullvectors, one per free column.
 
     Rows must have integer entries (clear denominators first).  The
@@ -318,21 +251,13 @@ def nullspace_basis(rows, force_exact: bool = False, max_vectors: int | None = N
     increasing order.  Returns [] exactly when the matrix has full
     column rank.  Every returned vector is content-1, has positive first
     nonzero entry, and satisfies rows @ v == 0 (checked over the
-    integers, not mod p).  Deterministic: one prime stream, fixed scan
-    order.  The single-width case of ``PrefixNullspaces``.
+    integers, not mod p).  Deterministic.  The single-width case of
+    ``PrefixNullspaces``.
     """
     ncols = len(rows[0]) if rows else 0
     if ncols == 0:
         return []
-    if force_exact:
-        return _exact_nullspace(rows, ncols, max_vectors)
     return PrefixNullspaces(rows).basis(ncols, max_vectors)
-
-
-def nullvector(rows, force_exact: bool = False):
-    """First canonical nullvector, or None for full column rank."""
-    basis = nullspace_basis(rows, force_exact=force_exact, max_vectors=1)
-    return basis[0] if basis else None
 
 
 def canonical_basis(vectors, max_vectors: int | None = None):

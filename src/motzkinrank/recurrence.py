@@ -94,10 +94,7 @@ class Recurrence:
                 parts.append(f"-{idx}")
             else:
                 parts.append(f"({body})*{idx}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out + " = 0"
+        return intpoly.signed_sum(parts) + " = 0"
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from . import backend
+from . import backend, intpoly
 from .errors import ComposeConstantTerm
 
 
@@ -67,25 +67,8 @@ class CoeffSeries:
         return f"CoeffSeries({self._c!r})"
 
     def __str__(self):
-        terms = []
-        for k, v in enumerate(self._c):
-            if not v:
-                continue
-            mag = abs(v)
-            if k == 0:
-                body = str(mag)
-            else:
-                x = "x" if k == 1 else f"x^{k}"
-                body = x if mag == 1 else f"{mag}*{x}"
-            terms.append((v < 0, body))
-        if not terms:
-            out = "0"
-        else:
-            neg, body = terms[0]
-            out = ("-" if neg else "") + body
-            for neg, body in terms[1:]:
-                out += (" - " if neg else " + ") + body
-        return f"{out} + O(x^{len(self._c)})"
+        terms = [intpoly.monomial(v, k) for k, v in enumerate(self._c) if v]
+        return f"{intpoly.signed_sum(terms)} + O(x^{len(self._c)})"
 
     # -- arithmetic ----------------------------------------------------
 

@@ -64,6 +64,11 @@ def test_json_roundtrip():
 def test_str_rendering():
     quad = mr.reference_equation(1)
     assert str(quad) == "1 + (x - 1)*y + x^2*y^2 = 0"
+    # leading negative terms, with and without a y^0 coefficient
+    assert str(AlgebraicEquation(((), (-1,), (0, -2), (1, -1)))) == (
+        "-y - 2*x*y^2 + (-x + 1)*y^3 = 0"
+    )
+    assert str(AlgebraicEquation(((-1, 1), (0, 3), (-1,)))) == "x - 1 + 3*x*y - y^2 = 0"
 
 
 def test_reference_equations_lookup():

@@ -34,10 +34,10 @@ def test_count_with_endpoints(capsys):
 
 
 def test_seq_json_and_csv(capsys):
-    code, out, _ = run(capsys, "seq", "--rank", "1", "--n", "6")
+    code, out, _ = run(capsys, "seq", "--rank", "1", "--n-max", "6")
     assert code == 0
     assert json.loads(out) == ["1", "1", "2", "4", "9", "21", "51"]
-    code, out, _ = run(capsys, "seq", "--rank", "1", "--n", "3", "--format", "csv")
+    code, out, _ = run(capsys, "seq", "--rank", "1", "--n-max", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["n,value", "0,1", "1,1", "2,2", "3,4"]
 
@@ -103,6 +103,16 @@ def test_bad_arguments_exit_2(capsys):
     assert run(capsys, "count", "--rank", "1", "--n", "3", "--threads", "0")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys)[0] == 2
+
+
+def test_abbreviated_options_exit_2(capsys):
+    # Only the full spelling of an option is accepted.
+    assert run(capsys, "seq", "--rank", "1", "--n", "6")[0] == 2
+    code, out, err = run(
+        capsys, "guess-rec", "--rank", "1", "--terms", "60", "--max-o", "2", "--max-d", "1"
+    )
+    assert code == 2 and out == ""
+    assert "--max-o" in err
 
 
 def test_domain_errors_exit_1(capsys):

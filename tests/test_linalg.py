@@ -1,9 +1,6 @@
 """Exact integer nullspace computation, modular and fraction-free routes."""
 
 import random
-import subprocess
-import sys
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +9,12 @@ from hypothesis import strategies as st
 import motzkinrank as mr
 from motzkinrank import SelfCheckFailed, backend, linalg
 from motzkinrank.linalg import (
-    PRIMES61,
+    PRIME,
     PrefixNullspaces,
     canonical_basis,
+    exact_nullspace,
     is_nullvector,
     nullspace_basis,
-    nullvector,
-    prime_stream,
 )
 
 
@@ -57,7 +53,7 @@ def test_known_kernel():
 def test_full_rank_has_trivial_kernel():
     rows = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
     assert nullspace_basis(rows) == []
-    assert nullvector(rows) is None
+    assert nullspace_basis(rows, max_vectors=1) == []
 
 
 def test_zero_matrix():
@@ -75,7 +71,7 @@ def test_modular_and_exact_routes_agree():
         n = rng.randint(1, 6)
         rows = random_matrix(rng, m, n, 50)
         fast = nullspace_basis(rows)
-        slow = nullspace_basis(rows, force_exact=True)
+        slow = exact_nullspace(rows)
         assert len(fast) == len(slow) == n - rank_of(rows, n), (trial, rows)
         for v in fast + slow:
             assert is_nullvector(rows, v)
@@ -85,7 +81,7 @@ def test_huge_entries_need_many_primes():
     rng = random.Random(7)
     rows = random_matrix(rng, 4, 6, 10**40)
     fast = nullspace_basis(rows)
-    slow = nullspace_basis(rows, force_exact=True)
+    slow = exact_nullspace(rows)
     assert len(fast) == len(slow) == 2
     for v in fast + slow:
         assert is_nullvector(rows, v)
@@ -99,10 +95,10 @@ def test_max_vectors_cap():
 
 def test_nullvector_returns_single_verified_vector():
     rows = [[1, 1, -2], [3, 3, -6]]
-    v = nullvector(rows)
-    assert v is not None
-    assert is_nullvector(rows, v)
-    assert is_nullvector(rows, nullvector(rows, force_exact=True))
+    basis = nullspace_basis(rows, max_vectors=1)
+    assert len(basis) == 1
+    assert is_nullvector(rows, basis[0])
+    assert is_nullvector(rows, exact_nullspace(rows, max_vectors=1)[0])
 
 
 def test_wide_and_tall_shapes():
@@ -120,7 +116,7 @@ def test_modular_route_lifts_past_the_fixed_primes(monkeypatch):
     # without Bareiss.
     rng = random.Random(2024)
     rows = random_matrix(rng, 2, 3, 2**360)
-    exact = nullspace_basis(rows, force_exact=True)
+    exact = exact_nullspace(rows)
     assert len(exact) == 1 and max(abs(x) for x in exact[0]).bit_length() > 700
 
     def no_bareiss(rows):
@@ -133,93 +129,54 @@ def test_modular_route_lifts_past_the_fixed_primes(monkeypatch):
         backend, "modp_echelon", lambda rows, p: calls.append(p) or echelon(rows, p)
     )
     assert nullspace_basis(rows) == exact
-    assert calls == [PRIMES61[0]]
+    assert calls == [PRIME]
 
 
-def test_unlucky_first_prime_restarts_the_lift(monkeypatch):
-    # The second row's middle entry vanishes mod the first prime, which
-    # therefore sees pivots [0, 2] instead of [0, 1]; the next prime
-    # shows it up, and lifting restarts from there without Bareiss.
-    p0 = PRIMES61[0]
-    rows = [[1, 0, 1], [0, p0, 1]]
-    exact = nullspace_basis(rows, force_exact=True)
-    assert exact == [[p0, 1, -p0]]
+def _count_routes(monkeypatch):
+    # (prime, width) of each modular elimination, width of each Bareiss one
+    modular, exact = [], []
+    echelon, bareiss = backend.modp_echelon, backend.bareiss_echelon
+    monkeypatch.setattr(
+        backend, "modp_echelon", lambda rows, p: modular.append((p, len(rows[0]))) or echelon(rows, p)
+    )
+    monkeypatch.setattr(
+        backend, "bareiss_echelon", lambda rows: exact.append(len(rows[0])) or bareiss(rows)
+    )
+    return modular, exact
 
-    def no_bareiss(rows):
-        raise AssertionError("the modular route fell back to Bareiss")
 
-    monkeypatch.setattr(backend, "bareiss_echelon", no_bareiss)
+def test_unlucky_prime_hands_the_system_to_the_exact_route(monkeypatch):
+    # The second row's middle entry vanishes mod PRIME, which therefore
+    # sees pivots [0, 2] instead of [0, 1]; the lift of free column 1
+    # cannot verify, and the exact route answers.
+    rows = [[1, 0, 1], [0, PRIME, 1]]
+    exact = exact_nullspace(rows)
+    assert exact == [[PRIME, 1, -PRIME]]
+    modular, bareiss = _count_routes(monkeypatch)
     assert nullspace_basis(rows) == exact
+    assert modular == [(PRIME, 3)]
+    assert bareiss == [3]
 
 
 def test_prime_unlucky_in_one_prefix_is_left_for_the_wider_ones(monkeypatch):
-    # Column 1 vanishes mod the first prime but not over Q.  Width 2
-    # shows it up (its lift cannot verify), the next prime takes over,
-    # and every width keeps the exact route's canonical basis.
-    p0 = PRIMES61[0]
-    rows = [[1, 0, 1, 1, 0], [0, p0, 1, 0, 1], [1, p0, 2, 1, 1]]
-    exact = [nullspace_basis([row[:w] for row in rows], force_exact=True) for w in range(6)]
-    calls = _count_eliminations(monkeypatch)
+    # Column 1 vanishes mod PRIME but not over Q.  Width 2 shows it up
+    # (its lift cannot verify): the narrower widths keep the prime, and
+    # width 2 and every wider one go to the exact route, so every width
+    # keeps the exact route's canonical basis.
+    rows = [[1, 0, 1, 1, 0], [0, PRIME, 1, 0, 1], [1, PRIME, 2, 1, 1]]
+    exact = [exact_nullspace([row[:w] for row in rows]) for w in range(6)]
+    modular, bareiss = _count_routes(monkeypatch)
+    lifted = []
+    lift = PrefixNullspaces._lift
+    monkeypatch.setattr(PrefixNullspaces, "_lift", lambda self, f: lifted.append(f) or lift(self, f))
     system = PrefixNullspaces(rows)
     assert [system.basis(w) for w in range(6)] == exact
-    assert calls == [5, 5]
-
-
-def _strong_probable_prime(n, a):
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    x = pow(a, d, n)
-    if x in (0, 1, n - 1):
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _is_prime_below_2_64(n):
-    # Sinclair's seven bases: a deterministic Miller-Rabin for n < 2**64,
-    # independent of the library's bases 2..37.
-    if n < 2 or n % 2 == 0:
-        return n == 2
-    return all(
-        _strong_probable_prime(n, a)
-        for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-    )
-
-
-def test_prime_stream_descends_through_every_prime_below_2_61():
-    drawn = list(islice(prime_stream(), 40))
-    assert tuple(drawn[: len(PRIMES61)]) == PRIMES61
-    assert drawn[0] < 2**61
-    assert all(a > b for a, b in zip(drawn, drawn[1:]))
-    assert all(_is_prime_below_2_64(p) for p in drawn)
-    # no prime is skipped between 2**61 and the last one drawn
-    between = [n for n in range(drawn[-1], 2**61) if _is_prime_below_2_64(n)]
-    assert between == drawn[::-1]
-
-
-def test_importing_linalg_generates_no_primes():
-    # Profile a fresh interpreter's import for calls into the prime test.
-    code = (
-        "import sys\n"
-        "calls = []\n"
-        "def hook(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name in ('_is_prime', 'prime_stream'):\n"
-        "        calls.append(frame.f_code.co_name)\n"
-        "sys.setprofile(hook)\n"
-        "import motzkinrank.linalg as linalg\n"
-        "sys.setprofile(None)\n"
-        "assert hasattr(linalg, '_is_prime')\n"
-        "print(len(calls))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0"
+    assert modular == [(PRIME, 5)]
+    assert bareiss == [2, 3, 4, 5]
+    # The failed column is lifted once; narrower widths asked again
+    # still come from the prime.
+    assert [system.basis(w) for w in (1, 0)] == [exact[1], exact[0]]
+    assert lifted == [1] and bareiss == [2, 3, 4, 5]
 
 
 def test_failed_exact_check_is_a_typed_error(monkeypatch):
@@ -236,7 +193,7 @@ def test_failed_exact_check_is_a_typed_error(monkeypatch):
         nullspace_basis([[1, 2, 3], [4, 5, 6]])
     assert bareiss == [1]
     with pytest.raises(SelfCheckFailed):
-        nullspace_basis([[1, 2, 3]], force_exact=True)
+        exact_nullspace([[1, 2, 3]])
 
 
 @st.composite
@@ -262,7 +219,7 @@ def _prefix_systems(draw):
 def test_every_prefix_matches_the_exact_route(rows):
     system = PrefixNullspaces(rows)
     for w in range(1, len(rows[0]) + 1):
-        exact = nullspace_basis([row[:w] for row in rows], force_exact=True)
+        exact = exact_nullspace([row[:w] for row in rows])
         assert system.full_rank(w) == (exact == [])
         assert system.basis(w, max_vectors=1) == exact[:1]
         assert system.basis(w) == exact
@@ -277,9 +234,7 @@ def test_canonical_basis_reads_a_span_in_another_column_order():
         perm = rng.sample(range(n), n)
         basis = nullspace_basis(rows)
         moved = [[v[c] for c in perm] for v in basis]
-        assert canonical_basis(moved) == nullspace_basis(
-            [[row[c] for c in perm] for row in rows], force_exact=True
-        )
+        assert canonical_basis(moved) == exact_nullspace([[row[c] for c in perm] for row in rows])
         assert canonical_basis(moved, 1) == canonical_basis(moved)[:1]
 
 

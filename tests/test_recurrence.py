@@ -44,7 +44,10 @@ def test_normalized_and_proportional():
 
 def test_str_rendering():
     text = str(mr.motzkin_recurrence())
-    assert "m[n+2]" in text and "= 0" in text and "n + 4" in text
+    assert text == "(-3*n - 3)*m[n] + (-2*n - 5)*m[n+1] + (n + 4)*m[n+2] = 0"
+    assert str(Recurrence(((-1,), (0, 2), (3, -1)))) == (
+        "-m[n] + (2*n)*m[n+1] + (-n + 3)*m[n+2] = 0"
+    )
 
 
 def test_verify_motzkin(motzkin):

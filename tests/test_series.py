@@ -104,5 +104,7 @@ def test_catalan_series():
 
 
 def test_str_smoke():
-    text = str(CoeffSeries([1, 0, -2], order=5))
-    assert "x^2" in text and "O(" in text
+    assert str(CoeffSeries([1, 0, -2], order=5)) == "1 - 2*x^2 + O(x^5)"
+    assert str(CoeffSeries([-1, 2, 0, -1], order=4)) == "-1 + 2*x - x^3 + O(x^4)"
+    assert str(CoeffSeries([Fraction(-1, 2), 0, Fraction(3, 4)])) == "-1/2 + 3/4*x^2 + O(x^3)"
+    assert str(CoeffSeries([0, 0], order=2)) == "0 + O(x^2)"
