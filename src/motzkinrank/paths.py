@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from math import prod
 
 from . import backend
 from .errors import (
@@ -465,15 +465,21 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     displacement, so a colored path is an uncolored skeleton plus one
     color per step, and its pair matching depends on the skeleton alone.
     Each side enumerates its own skeletons and matches the pairs of each
-    once; ``itertools.product`` then walks the skeleton's colorings.  A
-    path is keyed by the integer id(skeleton) * m**n + sum(c_i * m**i)
-    over its step colors c_i < m.  The pair map and its inverse are
-    tabulated once per report from :func:`_pair_color` and
-    :func:`_split_color`.  Every domain path is mapped forward pair by
-    pair into the key of its image, which is looked up in the
-    independently enumerated codomain and added to the image set, and
-    every collapsed pair color is split back and compared with the
-    colors it came from.
+    once.  A path is keyed by the integer id(skeleton) * m**n +
+    sum(c_i * m**i) over its step colors c_i < m.  The codomain's keys
+    are one ``itertools.product`` over the color digits of each skeleton.
+
+    The pair map acts on each matched pair alone, so the image of a
+    domain skeleton is built the same way, as a product over its color
+    pairs: up steps add their fixed color 1 to the skeleton's base key,
+    each level step contributes one digit per color, and each pair's
+    down step one digit per color pair (a, b), its collapsed color under
+    :func:`_pair_color`.  The domain size is the product of the digit
+    counts.  Round-trip is checked once per color pair, by splitting
+    each collapsed color back with :func:`_split_color`; every skeleton
+    with a pair meets every (a, b), so this equals checking each path.
+    Inclusion is checked once, on the whole image against the
+    independently enumerated codomain.
     """
     src = WeightSpec((u,), level, (d,))
     tgt = WeightSpec((1,), level, (u * d,))
@@ -483,13 +489,11 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
         if c > limit:
             raise GuardExceeded(f"predicted {c} paths exceed the guard {limit}")
 
-    # collapse[a][b] and split[c]: the pair map and its inverse on the
-    # colors that occur (index 0 is unused).
-    collapse = [None] + [
-        [None] + [_pair_color(a, b, d) for b in range(1, d + 1)] for a in range(1, u + 1)
-    ]
-    collapsed = {c for row in collapse[1:] for c in row[1:]}
-    split = {c: _split_color(c, d) for c in collapsed}
+    # The pair map on every (a, b) that occurs, tabulated once.
+    pair_map = {
+        (a, b): _pair_color(a, b, d) for a in range(1, u + 1) for b in range(1, d + 1)
+    }
+    collapsed = list(pair_map.values())
     # Key digits must stay below m even for colors a faulty pair map yields.
     m = max(level, u * d, *collapsed, 1) + 1
     place = [m**i for i in range(n)]
@@ -503,30 +507,25 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
 
     image = set()
     domain_size = 0
-    in_codomain = True
-    roundtrip_ok = True
+    paired = False
     for skel in _skeletons(src, n):
-        pairs = [(iu, idn, place[idn]) for iu, idn in _match_pairs(skel)]
-        # The image keeps the level colors and gives every up step color 1.
-        base = ids.setdefault(skel, len(ids)) * m**n + sum(place[iu] for iu, _, _ in pairs)
-        level_place = [p if dd == 0 else 0 for dd, p in zip(skel, place)]
-        for cols in product(*_step_colors(src, skel)):
-            domain_size += 1
-            key = base + sum(map(mul, cols, level_place))
-            for iu, idn, p in pairs:
-                a, b = cols[iu], cols[idn]
-                c = collapse[a][b]
-                key += c * p
-                if split[c] != (a, b):
-                    roundtrip_ok = False
-            if key not in codomain:
-                in_codomain = False
-            image.add(key)
+        pairs = _match_pairs(skel)
+        paired = paired or bool(pairs)
+        base = ids.setdefault(skel, len(ids)) * m**n + sum(place[iu] for iu, _ in pairs)
+        digits = [[c * p for c in range(1, level + 1)] for dd, p in zip(skel, place) if dd == 0]
+        digits += [[c * place[idn] for c in collapsed] for _, idn in pairs]
+        domain_size += prod(map(len, digits))
+        image.update(map(sum, product([base], *digits)))
+    # A skeleton with a pair meets every (a, b) on it, so checking the table
+    # once equals checking every path, as long as some skeleton has a pair.
+    roundtrip_ok = not paired or all(
+        _split_color(c, d) == ab for ab, c in pair_map.items()
+    )
     return RecoloringReport(
         u, level, d, n,
         domain_size=domain_size,
         codomain_size=len(codomain),
         image_size=len(image),
-        image_in_codomain=in_codomain,
+        image_in_codomain=image <= codomain,
         roundtrip_ok=roundtrip_ok,
     )

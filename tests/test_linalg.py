@@ -77,7 +77,7 @@ def test_modular_and_exact_routes_agree():
             assert is_nullvector(rows, v)
 
 
-def test_huge_entries_need_many_primes():
+def test_huge_entries_lift_from_one_prime():
     rng = random.Random(7)
     rows = random_matrix(rng, 4, 6, 10**40)
     fast = nullspace_basis(rows)
@@ -109,11 +109,10 @@ def test_wide_and_tall_shapes():
     assert nullspace_basis(tall) == []
 
 
-def test_modular_route_lifts_past_the_fixed_primes(monkeypatch):
+def test_one_elimination_at_prime_lifts_720_bit_nullvector(monkeypatch):
     # 2 x 3 with 360-bit entries: the nullvector's entries are 2 x 2
-    # minors of about 720 bits, far beyond what ten 61-bit primes
-    # reconstruct; the p-adic lift gets there from one elimination,
-    # without Bareiss.
+    # minors of about 720 bits, far beyond one 61-bit prime; the p-adic
+    # lift gets there from one elimination at PRIME, without Bareiss.
     rng = random.Random(2024)
     rows = random_matrix(rng, 2, 3, 2**360)
     exact = exact_nullspace(rows)

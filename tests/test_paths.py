@@ -246,3 +246,27 @@ def test_recoloring_report_catches_broken_inverse(monkeypatch):
     assert not report.is_bijection
     image = mr.ColoredPath.from_text(mr.WeightSpec.rank1(1, 1, 6), "+1:1,-1:6")
     assert mr.recolor_inverse(image, 2, 3).to_text() == "+1:1,-1:6"
+
+
+def test_recoloring_report_catches_image_outside_codomain(monkeypatch):
+    # Shifting every collapsed color up by one sends the pair (u, d) to
+    # color u*d + 1, which no codomain path carries.
+    monkeypatch.setattr(paths, "_pair_color", lambda a, b, d: (a - 1) * d + b + 1)
+    report = mr.recoloring_report(2, 1, 3, 6)
+    assert report.domain_size == report.image_size == report.codomain_size
+    assert not report.image_in_codomain
+    assert not report.is_bijection
+
+
+def test_recoloring_report_catches_one_broken_color_pair(monkeypatch):
+    # Only the last color pair (u, d), collapsed to u*d = 6, splits wrongly;
+    # the round-trip must reach it on a skeleton after the first.
+    split = paths._split_color
+    monkeypatch.setattr(
+        paths, "_split_color", lambda c, d: (1, c) if c == 6 else split(c, d)
+    )
+    report = mr.recoloring_report(2, 1, 3, 6)
+    assert report.image_in_codomain
+    assert report.domain_size == report.image_size == report.codomain_size
+    assert not report.roundtrip_ok
+    assert not report.is_bijection
