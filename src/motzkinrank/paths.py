@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product
+from heapq import merge
+from itertools import groupby, product
 from math import prod
+from operator import itemgetter
 
 from . import backend
 from .errors import (
@@ -46,6 +48,11 @@ def _enum_limit(explicit):
         return int(raw)
     except ValueError:
         raise InvalidSpec(f"{ENUM_GUARD_ENV} must be an integer, got {raw!r}") from None
+
+
+def _guard_length(n, max_length):
+    if n > max_length:
+        raise GuardExceeded(f"length {n} exceeds the enumeration length guard {max_length}")
 
 
 @dataclass(frozen=True)
@@ -304,8 +311,7 @@ def enumerate_paths(
     """
     if n < 0 or start < 0 or end < 0:
         raise InvalidSpec("n, start, end must be nonnegative")
-    if n > max_length:
-        raise GuardExceeded(f"length {n} exceeds the enumeration length guard {max_length}")
+    _guard_length(n, max_length)
     limit = _enum_limit(max_paths)
     predicted = _predicted_count(spec, n, start, end, colored)
     if predicted > limit:
@@ -459,30 +465,43 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     Enumerates the full colored path set of (u; l; d), maps every path
     through the recoloring, and checks that the image lies in the
     colored path set of (1; l; u*d), is hit injectively and completely,
-    and that the inverse returns the original path.
+    and that the inverse returns the original path.  ``n`` is held to
+    the enumeration length guard of :func:`enumerate_paths` and both
+    path counts to ``max_paths``, before anything is enumerated.
 
-    The sweep is skeleton-major.  The recoloring keeps every
-    displacement, so a colored path is an uncolored skeleton plus one
-    color per step, and its pair matching depends on the skeleton alone.
-    Each side enumerates its own skeletons and matches the pairs of each
-    once.  A path is keyed by the integer id(skeleton) * m**n +
-    sum(c_i * m**i) over its step colors c_i < m.  The codomain's keys
-    are one ``itertools.product`` over the color digits of each skeleton.
+    The sweep is one pass over the uncolored skeletons.  The recoloring
+    keeps every displacement, so a colored path is a skeleton plus one
+    color per step, its image has the same skeleton, and its pair
+    matching depends on the skeleton alone.  Both sides enumerate their
+    skeletons in ascending order, and the two streams are merged, so
+    each skeleton is met once with the sides that have it.  Within a
+    skeleton a path is keyed by the integer sum(c_i * m**i) over its
+    step colors c_i < m.  The codomain's keys are one
+    ``itertools.product`` over the color digits of each step.
 
     The pair map acts on each matched pair alone, so the image of a
     domain skeleton is built the same way, as a product over its color
-    pairs: up steps add their fixed color 1 to the skeleton's base key,
-    each level step contributes one digit per color, and each pair's
-    down step one digit per color pair (a, b), its collapsed color under
+    pairs: up steps add their fixed color 1 to the base key, each level
+    step contributes one digit per color, and each pair's down step one
+    digit per color pair (a, b), its collapsed color under
     :func:`_pair_color`.  The domain size is the product of the digit
     counts.  Round-trip is checked once per color pair, by splitting
     each collapsed color back with :func:`_split_color`; every skeleton
     with a pair meets every (a, b), so this equals checking each path.
-    Inclusion is checked once, on the whole image against the
-    independently enumerated codomain.
+
+    Only one skeleton's keys are held at a time.  A path and its image
+    share a skeleton, and paths on different skeletons differ, so the
+    whole image is the disjoint union of the skeletons' image sets: its
+    size is the sum of theirs, and it lies in the codomain exactly when
+    each skeleton's image set lies in the codomain set of the same
+    skeleton.  A domain skeleton the codomain lacks has an empty
+    codomain set, so any image there is reported outside the codomain;
+    a codomain skeleton the domain lacks still counts toward the
+    codomain size.
     """
     src = WeightSpec((u,), level, (d,))
     tgt = WeightSpec((1,), level, (u * d,))
+    _guard_length(n, DEFAULT_MAX_LENGTH)
     limit = _enum_limit(max_paths)
     for s in (src, tgt):
         c = _predicted_count(s, n, 0, 0, True)
@@ -497,25 +516,31 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     # Key digits must stay below m even for colors a faulty pair map yields.
     m = max(level, u * d, *collapsed, 1) + 1
     place = [m**i for i in range(n)]
-    ids = {}
 
-    codomain = set()
-    for skel in _skeletons(tgt, n):
-        base = ids.setdefault(skel, len(ids)) * m**n
-        digits = [[c * p for c in colors] for colors, p in zip(_step_colors(tgt, skel), place)]
-        codomain.update(map(sum, product([base], *digits)))
-
-    image = set()
-    domain_size = 0
+    domain_size = codomain_size = image_size = 0
+    image_in_codomain = True
     paired = False
-    for skel in _skeletons(src, n):
-        pairs = _match_pairs(skel)
-        paired = paired or bool(pairs)
-        base = ids.setdefault(skel, len(ids)) * m**n + sum(place[iu] for iu, _ in pairs)
-        digits = [[c * p for c in range(1, level + 1)] for dd, p in zip(skel, place) if dd == 0]
-        digits += [[c * place[idn] for c in collapsed] for _, idn in pairs]
-        domain_size += prod(map(len, digits))
-        image.update(map(sum, product([base], *digits)))
+    skeletons = merge(
+        ((skel, "codomain") for skel in _skeletons(tgt, n)),
+        ((skel, "domain") for skel in _skeletons(src, n)),
+    )
+    for skel, group in groupby(skeletons, key=itemgetter(0)):
+        sides = {side for _, side in group}
+        codomain = set()
+        if "codomain" in sides:
+            digits = [[c * p for c in colors] for colors, p in zip(_step_colors(tgt, skel), place)]
+            codomain = set(map(sum, product(*digits)))
+            codomain_size += len(codomain)
+        if "domain" in sides:
+            pairs = _match_pairs(skel)
+            paired = paired or bool(pairs)
+            base = sum(place[iu] for iu, _ in pairs)
+            digits = [[c * p for c in range(1, level + 1)] for dd, p in zip(skel, place) if dd == 0]
+            digits += [[c * place[idn] for c in collapsed] for _, idn in pairs]
+            domain_size += prod(map(len, digits))
+            image = set(map(sum, product([base], *digits)))
+            image_size += len(image)
+            image_in_codomain = image_in_codomain and image <= codomain
     # A skeleton with a pair meets every (a, b) on it, so checking the table
     # once equals checking every path, as long as some skeleton has a pair.
     roundtrip_ok = not paired or all(
@@ -524,8 +549,8 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     return RecoloringReport(
         u, level, d, n,
         domain_size=domain_size,
-        codomain_size=len(codomain),
-        image_size=len(image),
-        image_in_codomain=image <= codomain,
+        codomain_size=codomain_size,
+        image_size=image_size,
+        image_in_codomain=image_in_codomain,
         roundtrip_ok=roundtrip_ok,
     )

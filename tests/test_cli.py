@@ -195,6 +195,13 @@ def test_biject(capsys):
     assert json.loads(out)["is_bijection"] is True
 
 
+def test_biject_length_guard_exits_1(capsys):
+    code, out, err = run(capsys, "biject", "--u", "0", "--level", "1", "--d", "0", "--n", "5000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: GuardExceeded: length 5000")
+
+
 def test_reproduce_table(capsys):
     code, out, _ = run(capsys, "reproduce", "table1")
     assert code == 0

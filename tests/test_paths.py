@@ -1,5 +1,6 @@
 """Path model, enumeration guards, and the recoloring bijection."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -195,6 +196,29 @@ def test_recoloring_report_small():
         mr.recoloring_report(3, 2, 3, 8, max_paths=100)
 
 
+def test_recoloring_report_length_guard():
+    # (0;1;0) has one path of each length, so only the length guard stops
+    # a recursion n levels deep.
+    with pytest.raises(mr.GuardExceeded, match="length 5000"):
+        mr.recoloring_report(0, 1, 0, 5000)
+    with pytest.raises(mr.GuardExceeded, match="length 13"):
+        mr.recoloring_report(1, 1, 1, 13)
+    assert mr.recoloring_report(1, 1, 1, 12).domain_size == 15511
+
+
+def test_recoloring_report_holds_one_skeleton_at_a_time():
+    # (2;1;3) at n = 8 has 53,593 colored paths. Keying the whole image and
+    # codomain at once takes about 7 MiB; the streamed sweep peaks under 0.5 MiB.
+    tracemalloc.start()
+    try:
+        report = mr.recoloring_report(2, 1, 3, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.is_bijection and report.domain_size == 53593
+    assert peak < 2**20
+
+
 def _report_by_paths(u, level, d, n):
     # The report rebuilt path by path through the public maps.
     domain = mr.enumerate_paths(mr.WeightSpec.rank1(u, level, d), n)
@@ -269,4 +293,41 @@ def test_recoloring_report_catches_one_broken_color_pair(monkeypatch):
     assert report.image_in_codomain
     assert report.domain_size == report.image_size == report.codomain_size
     assert not report.roundtrip_ok
+    assert not report.is_bijection
+
+
+def _patch_target_skeletons(monkeypatch, edit):
+    # Apply ``edit`` to the skeleton stream of the target spec (1;1;6) only.
+    skeletons = paths._skeletons
+
+    def patched(spec, n):
+        found = skeletons(spec, n)
+        return edit(found) if spec == mr.WeightSpec.rank1(1, 1, 6) else found
+
+    monkeypatch.setattr(paths, "_skeletons", patched)
+
+
+def test_recoloring_report_catches_codomain_missing_a_skeleton(monkeypatch):
+    # The dropped skeleton has 6 * 6 = 36 colorings under (1;1;6); the 36
+    # domain paths on it have no codomain path to land on.
+    full = mr.recoloring_report(2, 1, 3, 6)
+    dropped = (1, 0, -1, 1, 0, -1)
+    _patch_target_skeletons(monkeypatch, lambda found: (s for s in found if s != dropped))
+    report = mr.recoloring_report(2, 1, 3, 6)
+    assert report.domain_size == report.image_size == full.domain_size
+    assert report.codomain_size == full.codomain_size - 36
+    assert not report.image_in_codomain
+    assert not report.is_bijection
+
+
+def test_recoloring_report_catches_codomain_skeleton_outside_domain(monkeypatch):
+    # The extra skeleton sorts between two real ones and has one coloring
+    # under (1;1;6); no domain path maps onto it.
+    full = mr.recoloring_report(2, 1, 3, 6)
+    extra = (0, 0, 0, 0, 0, 1)
+    _patch_target_skeletons(monkeypatch, lambda found: iter(sorted([*found, extra])))
+    report = mr.recoloring_report(2, 1, 3, 6)
+    assert report.domain_size == report.image_size == full.domain_size
+    assert report.codomain_size == full.codomain_size + 1
+    assert report.image_in_codomain
     assert not report.is_bijection
