@@ -2,11 +2,13 @@
 
 These loops dominate the runtime of the whole package: truncated series
 convolution, the weighted lattice-path DP step, LU factorization mod a
-word-sized prime, and fraction-free (Bareiss) row echelon over the
-integers.  Callers look them up as ``backend.<kernel>`` at call time, so
-a wrapper installed on this module (as the benchmark's spans are) wraps
-the code that runs.  ``BACKEND`` names the implementation; it is
-recorded with every benchmark result.
+prime, and fraction-free (Bareiss) row echelon over the integers.  The
+modular LU packs each row into one int, so a row update is one
+big-integer multiply-add rather than a loop over entries.  Callers look
+them up as ``backend.<kernel>`` at call time, so a wrapper installed on
+this module (as the benchmark's spans are) wraps the code that runs.
+``BACKEND`` names the implementation; it is recorded with every
+benchmark result.
 """
 
 from itertools import accumulate, repeat
@@ -94,57 +96,88 @@ def dp_rows(deltas, weights, n, start, caps):
     return rows
 
 
+def _pack(values, sb):
+    """One int holding ``values`` (each below 256**sb) in sb-byte slots,
+    the first value in the highest slot."""
+    return int.from_bytes(b"".join([v.to_bytes(sb, "big") for v in values]), "big")
+
+
+def _unpack(x, n, sb):
+    """The n sb-byte slots of x, highest first: the inverse of ``_pack``."""
+    b = x.to_bytes(n * sb, "big")
+    return [int.from_bytes(b[j : j + sb], "big") for j in range(0, n * sb, sb)]
+
+
 def modp_echelon(rows, p):
     """In-place LU factorization mod the prime p, with row pivoting.
 
-    Entries must already lie in [0, p).  Returns ``(pivots, order)``:
-    the pivot columns in ascending order, and ``order[i]``, the input
-    index of the row that ends at position i.  Let r be the rank and c_k
-    the k-th pivot column.  Afterwards, row k < r holds the pivot value
-    d_k at c_k and, right of c_k, the pivot row divided by d_k (the unit
-    upper factor U, whose 1 at c_k is implied).  Every row i holds, at
-    each pivot column c_k with k < min(i, r), the multiplier L[i][k] of
-    U row k that the elimination subtracted there, and zero at the
+    Entries may be any ints: the factorization is that of their residues
+    mod p, and every output entry lies in [0, p).  Returns ``(pivots,
+    order)``: the pivot columns in ascending order, and ``order[i]``, the
+    input index of the row that ends at position i.  Let r be the rank
+    and c_k the k-th pivot column.  Afterwards, row k < r holds the pivot
+    value d_k at c_k and, right of c_k, the pivot row divided by d_k (the
+    unit upper factor U, whose 1 at c_k is implied).  Every row i holds,
+    at each pivot column c_k with k < min(i, r), the multiplier L[i][k]
+    of U row k that the elimination subtracted there, and zero at the
     other columns left of its own pivot (at all other columns when
     i >= r).  So input row order[i] equals sum_k L[i][k] * U[k] mod p,
     with L[k][k] = d_k.  Row operations never mix columns, so cut to the
     first w columns this is the factorization of that column prefix,
     with the pivots below w.
+
+    Rows are eliminated packed (Dumas, Fousse and Salvy, "Simultaneous
+    modular reduction and Kronecker substitution for small finite
+    fields", JSC 2011): each row is one int with its residues in slots
+    of S >= 2 * p.bit_length() + ncols.bit_length() + 1 bits, the first
+    column highest, S rounded up to whole bytes so rows pack and unpack
+    through ``bytes``.  A pivot reduces and scales its row's tail (the
+    slots right of the pivot column) once; every row below it with
+    multiplier m then takes one multiply-add, R += (p - m) * tail, with
+    no reduction.  No slot carries into the next: an entry starts below
+    p and gains less than p**2 per update, once per pivot left of it, so
+    it stays below p + ncols * p**2 < 2**S.  The rows are unpacked mod p
+    at the end.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     order = list(range(nrows))
+    sb = (2 * p.bit_length() + ncols.bit_length() + 8) // 8  # slot bytes
+    s = 8 * sb
+    mask = (1 << s) - 1
+    packed = [_pack([v % p for v in row], sb) for row in rows]
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
+        shift = (ncols - 1 - c) * s  # bit offset of slot c; the tail lies below
         pr = -1
         for i in range(r, nrows):
-            if rows[i][c]:
+            if (packed[i] >> shift & mask) % p:
                 pr = i
                 break
         if pr < 0:
             continue
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
+            packed[r], packed[pr] = packed[pr], packed[r]
             order[r], order[pr] = order[pr], order[r]
-        rowr = rows[r]
-        inv = pow(rowr[c], p - 2, p)
-        if inv != 1:
-            for j in range(c + 1, ncols):
-                if rowr[j]:
-                    rowr[j] = rowr[j] * inv % p
-        for i in range(r + 1, nrows):
-            rowi = rows[i]
-            m = rowi[c]
+        row = packed[r]
+        inv = pow((row >> shift & mask) % p, p - 2, p)
+        old = row & ((1 << shift) - 1)
+        tail = _pack([x * inv % p for x in _unpack(old, ncols - 1 - c, sb)], sb)
+        packed[r] = row - old + tail
+        # Rows r+1..pr hold zero at c: the search passed over them.
+        for i in range(pr + 1, nrows):
+            m = (packed[i] >> shift & mask) % p
             if m:
-                for j in range(c + 1, ncols):
-                    x = rowr[j]
-                    if x:
-                        rowi[j] = (rowi[j] - m * x) % p
+                packed[i] += (p - m) * tail
         pivots.append(c)
         r += 1
+    inputs = rows[:]
+    for i, k in enumerate(order):
+        rows[i] = inputs[k]
+        rows[i][:] = [x % p for x in _unpack(packed[i], ncols, sb)]
     return pivots, order
 
 

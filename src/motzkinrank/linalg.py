@@ -6,9 +6,10 @@ y-degrees of one algebraic ansatz.  ``PrefixNullspaces`` answers every
 prefix width from one elimination:
 
 * One LU factorization mod the 61-bit prime ``PRIME``
-  (``backend.modp_echelon``).  Row operations never mix columns, so cut
-  to its first w columns it factors the width-w prefix, whose pivots
-  are the ones below w.
+  (``backend.modp_echelon``), eliminated on packed rows: each row is one
+  int, so a row update is one big-integer multiply-add.  Row operations
+  never mix columns, so cut to its first w columns it factors the
+  width-w prefix, whose pivots are the ones below w.
 * Full rank.  w pivots below column w certify that the prefix has no
   nullvector: reduction mod p can only lower the rank.
 * Otherwise every canonical nullvector of the prefix is lifted
@@ -130,7 +131,7 @@ class PrefixNullspaces:
         self._canonical = {}  # free column -> its verified canonical vector
         self._unlucky = None  # first free column whose lift failed
         p = PRIME
-        lu = [[v % p for v in row] for row in rows]
+        lu = [row[:] for row in rows]
         pivots, order = backend.modp_echelon(lu, p)
         # The square block B of pivot rows and pivot columns, and its
         # factors mod p: B = L U with L lower (pivot values on its

@@ -501,6 +501,8 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     """
     src = WeightSpec((u,), level, (d,))
     tgt = WeightSpec((1,), level, (u * d,))
+    if n < 0:
+        raise InvalidSpec("n must be nonnegative")
     _guard_length(n, DEFAULT_MAX_LENGTH)
     limit = _enum_limit(max_paths)
     for s in (src, tgt):

@@ -88,6 +88,122 @@ def test_modp_echelon_factors_its_input(p):
         assert _lu_product(lu, pivots, p) == [rows[i] for i in order]
 
 
+def _entrywise_modp_echelon(rows, p):
+    """Entry-by-entry LU mod p with row pivoting, the reference that
+    ``backend.modp_echelon``'s packed rows must reproduce bit for bit.
+    Entries must lie in [0, p)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    order = list(range(nrows))
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), -1)
+        if pr < 0:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            order[r], order[pr] = order[pr], order[r]
+        rowr = rows[r]
+        inv = pow(rowr[c], p - 2, p)
+        if inv != 1:
+            for j in range(c + 1, ncols):
+                if rowr[j]:
+                    rowr[j] = rowr[j] * inv % p
+        for i in range(r + 1, nrows):
+            rowi = rows[i]
+            m = rowi[c]
+            if m:
+                for j in range(c + 1, ncols):
+                    x = rowr[j]
+                    if x:
+                        rowi[j] = (rowi[j] - m * x) % p
+        pivots.append(c)
+        r += 1
+    return pivots, order
+
+
+def _assert_matches_entrywise(rows, p):
+    """modp_echelon on rows equals the oracle on their residues: pivots,
+    order, every entry, and which input row object ends where."""
+    packed = [r[:] for r in rows]
+    reference = [[v % p for v in r] for r in rows]
+    packed_ids, reference_ids = list(map(id, packed)), list(map(id, reference))
+    result = backend.modp_echelon(packed, p)
+    assert result == _entrywise_modp_echelon(reference, p)
+    assert packed == reference
+    pivots, order = result
+    assert [packed_ids[k] for k in order] == list(map(id, packed))
+    assert [reference_ids[k] for k in order] == list(map(id, reference))
+    return pivots
+
+
+def _low_rank(rng, p, m, n, rank, density=0.8):
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(m)]
+    right = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)] for _ in range(rank)]
+    return [[sum(row[t] * right[t][j] for t in range(rank)) % p for j in range(n)] for row in left]
+
+
+def _dense_full_rank(m, n, p):
+    """All p - 1 (that is, -1) except p - 2 on the diagonal: -(J + I) on
+    the leading square, of rank min(m, n) while p does not divide
+    min(m, n) + 1.  Every entry stays nonzero under elimination, so each
+    row takes an update at every pivot above it."""
+    return [[p - 2 if i == j else p - 1 for j in range(n)] for i in range(m)]
+
+
+@pytest.mark.parametrize("p", [97, PRIME, 2305843009213693487])
+def test_modp_echelon_matches_entrywise_loop(p):
+    rng = random.Random(p + 1)
+    for _ in range(30):  # rank-deficient, some with zero columns or rows
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        rank = rng.randint(0, min(m, n) - 1)
+        rows = _low_rank(rng, p, m, n, rank, density=rng.choice((0.3, 0.8, 1)))
+        assert len(_assert_matches_entrywise(rows, p)) <= rank
+    for m, n in ((8, 100), (20, 130), (130, 101)):  # wide, and tall at 101 columns
+        rows = _low_rank(rng, p, m, n, min(m, n, 15))
+        assert len(_assert_matches_entrywise(rows, p)) == min(m, n, 15)
+    # Dense -1 rows take the most updates, so their slots grow largest;
+    # 63 and 64 columns sit on either side of a bit_length step.
+    for m, n in ((40, 40), (45, 40), (30, 63), (64, 64), (20, 110)):
+        assert len(_assert_matches_entrywise(_dense_full_rank(m, n, p), p)) == min(m, n)
+    assert _assert_matches_entrywise([], p) == []
+    assert _assert_matches_entrywise([[], []], p) == []
+
+
+def test_modp_echelon_matches_entrywise_loop_on_a_guess_rec_system():
+    # The order-10, degree-7 system guess_recurrence eliminates on 120
+    # counts of a rank-2 spec: 102 rows, 88 columns, entries of up to 367 bits.
+    terms = motzkinrank.count_sequence(motzkinrank.WeightSpec.parse("1,2;1;1,3"), 119)
+    k, degree, guard = 10, 7, 8
+    rows = [
+        [t * n**e for e in range(degree + 1) for t in terms[n : n + k + 1]]
+        for n in range(len(terms) - k - guard)
+    ]
+    assert (len(rows), len(rows[0])) == (102, 88)
+    for p in (97, PRIME, 2305843009213693487):
+        _assert_matches_entrywise(rows, p)
+
+
+@pytest.mark.parametrize("p", [97, PRIME, 2305843009213693487])
+def test_modp_echelon_reduces_out_of_range_entries(p):
+    # Negative entries and entries >= p are packed as v % p, so none can
+    # borrow from or carry into a neighbouring slot.
+    rng = random.Random(p + 2)
+    for _ in range(20):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[v + p * rng.randint(-3, 3) for v in row]
+                for row in _low_rank(rng, p, m, n, rng.randint(0, min(m, n)))]
+        _assert_matches_entrywise(rows, p)
+        _assert_matches_entrywise([[-v for v in row] for row in rows], p)
+        _assert_matches_entrywise([[rng.randint(-(10**40), 10**40) for _ in range(n)] for _ in range(m)], p)
+    # -1 and p + (p - 1) in every slot: a borrow or carry would show.
+    _assert_matches_entrywise([[-1] * 12 for _ in range(12)], p)
+    _assert_matches_entrywise([[2 * p - 1 - (i == j) for j in range(30)] for i in range(30)], p)
+
+
 def _random_small_matrix(rng):
     m, n = rng.randint(1, 6), rng.randint(1, 6)
     if rng.random() < 0.5:

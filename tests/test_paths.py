@@ -206,6 +206,14 @@ def test_recoloring_report_length_guard():
     assert mr.recoloring_report(1, 1, 1, 12).domain_size == 15511
 
 
+def test_recoloring_report_negative_length():
+    # As enumerate_paths does, and before any DP row is indexed.
+    with pytest.raises(mr.InvalidSpec, match="nonnegative"):
+        mr.recoloring_report(1, 1, 1, -1)
+    with pytest.raises(mr.InvalidSpec):
+        mr.enumerate_paths(mr.WeightSpec.rank1(1, 1, 1), -1)
+
+
 def test_recoloring_report_holds_one_skeleton_at_a_time():
     # (2;1;3) at n = 8 has 53,593 colored paths. Keying the whole image and
     # codomain at once takes about 7 MiB; the streamed sweep peaks under 0.5 MiB.
