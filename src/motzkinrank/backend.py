@@ -3,12 +3,13 @@
 These loops dominate the runtime of the whole package: truncated series
 convolution, the weighted lattice-path DP step, LU factorization mod a
 prime, and fraction-free (Bareiss) row echelon over the integers.  The
-modular LU packs each row into one int, so a row update is one
-big-integer multiply-add rather than a loop over entries.  Callers look
-them up as ``backend.<kernel>`` at call time, so a wrapper installed on
-this module (as the benchmark's spans are) wraps the code that runs.
-``BACKEND`` names the implementation; it is recorded with every
-benchmark result.
+modular LU packs each row's columns not yet eliminated into one int,
+the current column lowest, so a row update is one big-integer
+multiply-add rather than a loop over entries, on a row that loses a
+slot at every column.  Callers look them up as ``backend.<kernel>`` at
+call time, so a wrapper installed on this module (as the benchmark's
+spans are) wraps the code that runs.  ``BACKEND`` names the
+implementation; it is recorded with every benchmark result.
 """
 
 from itertools import accumulate, repeat
@@ -98,14 +99,14 @@ def dp_rows(deltas, weights, n, start, caps):
 
 def _pack(values, sb):
     """One int holding ``values`` (each below 256**sb) in sb-byte slots,
-    the first value in the highest slot."""
-    return int.from_bytes(b"".join([v.to_bytes(sb, "big") for v in values]), "big")
+    the first value in the lowest slot."""
+    return int.from_bytes(b"".join([v.to_bytes(sb, "little") for v in values]), "little")
 
 
 def _unpack(x, n, sb):
-    """The n sb-byte slots of x, highest first: the inverse of ``_pack``."""
-    b = x.to_bytes(n * sb, "big")
-    return [int.from_bytes(b[j : j + sb], "big") for j in range(0, n * sb, sb)]
+    """The n sb-byte slots of x, lowest first: the inverse of ``_pack``."""
+    b = x.to_bytes(n * sb, "little")
+    return [int.from_bytes(b[j : j + sb], "little") for j in range(0, n * sb, sb)]
 
 
 def modp_echelon(rows, p):
@@ -129,15 +130,21 @@ def modp_echelon(rows, p):
     Rows are eliminated packed (Dumas, Fousse and Salvy, "Simultaneous
     modular reduction and Kronecker substitution for small finite
     fields", JSC 2011): each row is one int with its residues in slots
-    of S >= 2 * p.bit_length() + ncols.bit_length() + 1 bits, the first
-    column highest, S rounded up to whole bytes so rows pack and unpack
-    through ``bytes``.  A pivot reduces and scales its row's tail (the
-    slots right of the pivot column) once; every row below it with
-    multiplier m then takes one multiply-add, R += (p - m) * tail, with
-    no reduction.  No slot carries into the next: an entry starts below
-    p and gains less than p**2 per update, once per pivot left of it, so
-    it stays below p + ncols * p**2 < 2**S.  The rows are unpacked mod p
-    at the end.
+    of S >= 2 * p.bit_length() + ncols.bit_length() + 1 bits, rounded up
+    to whole bytes so rows pack and unpack through ``bytes``.  A row
+    carries only the columns not yet eliminated, the current column c in
+    its lowest slot, so the pivot search and the multiplier read the
+    low S bits of a row, whatever its length.  At c the pivot row leaves
+    the packed rows: its tail (the slots right of c) is reduced, scaled
+    by the pivot's inverse and written out as its U row.  Every row
+    below it records its multiplier m, drops its lowest slot and, when
+    m is nonzero, takes one multiply-add, R = (R >> S) + (p - m) * tail,
+    with no reduction.  A column without a pivot is dropped from every
+    row left.
+    No slot carries into the next: an entry starts below p and gains
+    less than p**2 per update, once per pivot left of it, so it stays
+    below p + ncols * p**2 < 2**S.  Multipliers and U rows go straight
+    into the output rows, so nothing is unpacked at the end.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -147,37 +154,37 @@ def modp_echelon(rows, p):
     s = 8 * sb
     mask = (1 << s) - 1
     packed = [_pack([v % p for v in row], sb) for row in rows]
+    for row in rows:
+        row[:] = [0] * ncols
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        shift = (ncols - 1 - c) * s  # bit offset of slot c; the tail lies below
-        pr = -1
-        for i in range(r, nrows):
-            if (packed[i] >> shift & mask) % p:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if (packed[i] & mask) % p), -1)
         if pr < 0:
+            packed[r:] = [x >> s for x in packed[r:]]
             continue
         if pr != r:
             packed[r], packed[pr] = packed[pr], packed[r]
+            rows[r], rows[pr] = rows[pr], rows[r]
             order[r], order[pr] = order[pr], order[r]
-        row = packed[r]
-        inv = pow((row >> shift & mask) % p, p - 2, p)
-        old = row & ((1 << shift) - 1)
-        tail = _pack([x * inv % p for x in _unpack(old, ncols - 1 - c, sb)], sb)
-        packed[r] = row - old + tail
-        # Rows r+1..pr hold zero at c: the search passed over them.
-        for i in range(pr + 1, nrows):
-            m = (packed[i] >> shift & mask) % p
+        x = packed[r]
+        d = (x & mask) % p
+        inv = pow(d, -1, p)
+        out = rows[r]
+        out[c] = d
+        out[c + 1 :] = u = [v * inv % p for v in _unpack(x >> s, ncols - 1 - c, sb)]
+        tail = _pack(u, sb)
+        for i in range(r + 1, nrows):
+            x = packed[i]
+            m = (x & mask) % p
             if m:
-                packed[i] += (p - m) * tail
+                rows[i][c] = m
+                packed[i] = (x >> s) + (p - m) * tail
+            else:
+                packed[i] = x >> s
         pivots.append(c)
         r += 1
-    inputs = rows[:]
-    for i, k in enumerate(order):
-        rows[i] = inputs[k]
-        rows[i][:] = [x % p for x in _unpack(packed[i], ncols, sb)]
     return pivots, order
 
 

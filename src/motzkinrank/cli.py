@@ -114,12 +114,14 @@ def _resolve_spec(args) -> WeightSpec:
 
 
 def _emit(args, payload, plain_lines=None, csv_rows=None):
-    """Render and write the result in the selected format."""
+    """Render and write the result in the selected format.
+
+    ``main`` refuses ``--format csv`` before a subcommand that offers no
+    csv rows runs, so csv_rows is given whenever csv is selected.
+    """
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            args._parser.error("--format csv is not supported for this subcommand")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -530,27 +532,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def new_sub(name, help_text, default_format="json"):
+    def new_sub(name, help_text, default_format="json", has_csv=False):
         sub = subs.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         _add_output_args(sub, default_format)
-        sub.set_defaults(_parser=sub)
+        sub.set_defaults(_parser=sub, _csv=has_csv)
         return sub
 
-    sub = new_sub("count", "count colored paths of one length")
+    sub = new_sub("count", "count colored paths of one length", has_csv=True)
     _add_spec_args(sub)
     sub.add_argument("--n", type=_nonneg_int, required=True, help="path length")
     sub.add_argument("--start", type=_nonneg_int, default=0, help="start height (default 0)")
     sub.add_argument("--end", type=_nonneg_int, default=0, help="end height (default 0)")
     sub.set_defaults(func=_cmd_count)
 
-    sub = new_sub("seq", "count colored paths for every length 0..n-max")
+    sub = new_sub("seq", "count colored paths for every length 0..n-max", has_csv=True)
     _add_spec_args(sub)
     sub.add_argument("--n-max", type=_nonneg_int, required=True, help="largest length")
     sub.add_argument("--start", type=_nonneg_int, default=0)
     sub.add_argument("--end", type=_nonneg_int, default=0)
     sub.set_defaults(func=_cmd_seq)
 
-    sub = new_sub("enumerate", "list the paths themselves (guarded)")
+    sub = new_sub("enumerate", "list the paths themselves (guarded)", has_csv=True)
     _add_spec_args(sub)
     sub.add_argument("--n", type=_nonneg_int, required=True, help="path length")
     sub.add_argument("--start", type=_nonneg_int, default=0)
@@ -571,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.set_defaults(func=_cmd_enumerate)
 
-    sub = new_sub("series", "solve the quadratic system as truncated series")
+    sub = new_sub("series", "solve the quadratic system as truncated series", has_csv=True)
     _add_spec_args(sub)
     sub.add_argument(
         "--order",
@@ -679,6 +681,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format == "csv" and not args._csv:
+            args._parser.error("--format csv is not supported for this subcommand")
         return args.func(args)
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
         code = exc.code

@@ -7,9 +7,11 @@ prefix width from one elimination:
 
 * One LU factorization mod the 61-bit prime ``PRIME``
   (``backend.modp_echelon``), eliminated on packed rows: each row is one
-  int, so a row update is one big-integer multiply-add.  Row operations
-  never mix columns, so cut to its first w columns it factors the
-  width-w prefix, whose pivots are the ones below w.
+  int holding only its columns not yet eliminated, so a row update is
+  one big-integer multiply-add on a row that shrinks by a slot per
+  column.  Row operations never mix columns, so cut to its first w
+  columns it factors the width-w prefix, whose pivots are the ones
+  below w.
 * Full rank.  w pivots below column w certify that the prefix has no
   nullvector: reduction mod p can only lower the rank.
 * Otherwise every canonical nullvector of the prefix is lifted
@@ -40,7 +42,8 @@ prefix width from one elimination:
   against each other.
 
 Nothing leaves this module unverified, so an unlucky prime can cost
-time but never an answer.
+time but never an answer.  Both routes take rectangular rows only: a
+ragged row is a ``ValueError`` before any elimination.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ def clear_denominators(values):
     return [int(v * den) for v in values]
 
 
+def _check_rectangular(rows):
+    """Raise ValueError naming the first row whose length is not row 0's."""
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(rows[0])}")
+
+
 class PrefixNullspaces:
     """Verified canonical nullspaces of every column prefix of one system.
 
@@ -126,6 +136,7 @@ class PrefixNullspaces:
     """
 
     def __init__(self, rows):
+        _check_rectangular(rows)
         self.rows = rows
         self._norms = None
         self._canonical = {}  # free column -> its verified canonical vector
@@ -215,6 +226,7 @@ class PrefixNullspaces:
 
 def exact_nullspace(rows, max_vectors: int | None = None):
     """``nullspace_basis`` by Bareiss elimination over the integers."""
+    _check_rectangular(rows)
     ncols = len(rows[0]) if rows else 0
     work = [list(row) for row in rows]
     pivots = backend.bareiss_echelon(work)
@@ -255,10 +267,7 @@ def nullspace_basis(rows, max_vectors: int | None = None):
     integers, not mod p).  Deterministic.  The single-width case of
     ``PrefixNullspaces``.
     """
-    ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return []
-    return PrefixNullspaces(rows).basis(ncols, max_vectors)
+    return PrefixNullspaces(rows).basis(len(rows[0]) if rows else 0, max_vectors)
 
 
 def canonical_basis(vectors, max_vectors: int | None = None):

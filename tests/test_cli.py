@@ -5,6 +5,7 @@ import json
 import pytest
 
 import motzkinrank as mr
+from motzkinrank import cli
 from motzkinrank.cli import main
 from motzkinrank.recurrence import shift_left_multiply
 
@@ -63,6 +64,32 @@ def test_series_and_enumerate_csv(capsys):
                        "--n", "2", "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("guess-algeq", "--rank", "1"),
+        ("verify-algeq", "--rank", "1", "--reference", "1"),
+        ("guess-rec", "--rank", "1"),
+        ("verify-rec", "--rank", "1", "--builtin", "motzkin"),
+        ("scan-min", "--rank", "1"),
+        ("biject", "--u", "1", "--level", "1", "--d", "1", "--n", "2"),
+        ("reproduce", "all"),
+    ],
+)
+def test_unsupported_csv_is_refused_before_the_work(capsys, monkeypatch, argv):
+    def work(args):
+        raise AssertionError(f"{args.command} ran")
+
+    for name in vars(cli).copy():
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, work)
+    with pytest.raises(AssertionError, match=argv[0]):
+        main(list(argv))
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "--format csv is not supported for this subcommand" in err
 
 
 def test_series_index_bounds(capsys):

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import entrywise_modp_echelon
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import motzkinrank
 from motzkinrank import backend
@@ -88,51 +91,14 @@ def test_modp_echelon_factors_its_input(p):
         assert _lu_product(lu, pivots, p) == [rows[i] for i in order]
 
 
-def _entrywise_modp_echelon(rows, p):
-    """Entry-by-entry LU mod p with row pivoting, the reference that
-    ``backend.modp_echelon``'s packed rows must reproduce bit for bit.
-    Entries must lie in [0, p)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    order = list(range(nrows))
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), -1)
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            order[r], order[pr] = order[pr], order[r]
-        rowr = rows[r]
-        inv = pow(rowr[c], p - 2, p)
-        if inv != 1:
-            for j in range(c + 1, ncols):
-                if rowr[j]:
-                    rowr[j] = rowr[j] * inv % p
-        for i in range(r + 1, nrows):
-            rowi = rows[i]
-            m = rowi[c]
-            if m:
-                for j in range(c + 1, ncols):
-                    x = rowr[j]
-                    if x:
-                        rowi[j] = (rowi[j] - m * x) % p
-        pivots.append(c)
-        r += 1
-    return pivots, order
-
-
 def _assert_matches_entrywise(rows, p):
     """modp_echelon on rows equals the oracle on their residues: pivots,
     order, every entry, and which input row object ends where."""
     packed = [r[:] for r in rows]
-    reference = [[v % p for v in r] for r in rows]
+    reference = [r[:] for r in rows]
     packed_ids, reference_ids = list(map(id, packed)), list(map(id, reference))
     result = backend.modp_echelon(packed, p)
-    assert result == _entrywise_modp_echelon(reference, p)
+    assert result == entrywise_modp_echelon(reference, p)
     assert packed == reference
     pivots, order = result
     assert [packed_ids[k] for k in order] == list(map(id, packed))
@@ -202,6 +168,49 @@ def test_modp_echelon_reduces_out_of_range_entries(p):
     # -1 and p + (p - 1) in every slot: a borrow or carry would show.
     _assert_matches_entrywise([[-1] * 12 for _ in range(12)], p)
     _assert_matches_entrywise([[2 * p - 1 - (i == j) for j in range(30)] for i in range(30)], p)
+
+
+@st.composite
+def _echelon_cases(draw):
+    """(rows, p) aimed at the packed kernel's bookkeeping.  Each row is
+    zero left of its own start column (all zero when that is n), so the
+    pivot search passes over rows; each column is zero, a combination of
+    the columns before it (a free column wherever it falls, and its
+    slots end as multiples of p, often nonzero ones), or random.
+    Entries are then moved out of [0, p) by multiples of p or negated."""
+    p = draw(st.sampled_from([2, 3, 97, PRIME]))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    starts = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    residue = st.integers(0, p - 1)
+    cols = []
+    for j in range(n):
+        kind = draw(st.sampled_from(("zero", "combination", "random")))
+        if kind == "random":
+            col = [draw(residue) if j >= s else 0 for s in starts]
+        elif kind == "combination" and cols:
+            coeffs = draw(st.lists(residue, min_size=len(cols), max_size=len(cols)))
+            col = [sum(a * c[i] for a, c in zip(coeffs, cols)) % p for i in range(m)]
+        else:
+            col = [0] * m
+        cols.append(col)
+    shifts = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = [[col[i] for col in cols] for i in range(m)]
+    rows = [[v + p * k for v, k in zip(row, draw(shifts))] for row in rows]
+    if draw(st.booleans()):
+        rows = [[-v for v in row] for row in rows]
+    return rows, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_echelon_cases())
+@example(([[0, 0, 0], [0, 0, 0], [0, 5, 1], [1, 2, 3]], 97))  # the first pivot three rows down
+@example(([[0, 1, 2, 1, 0], [0, 2, 1, 1, 0], [0, 1, 2, 2, 0]], 3))  # leading, interior, trailing free
+@example(([[1, 1], [1, 1], [1, 0]], 2))  # a slot that ends at 2 = p, not 0
+@example(([[0] * 5 for _ in range(4)], PRIME))  # rank 0
+@example(([[-1, PRIME], [PRIME + 2, -PRIME - 1], [0, 0]], PRIME))  # m > n, out of range
+def test_modp_echelon_matches_entrywise_loop_property(case):
+    rows, p = case
+    _assert_matches_entrywise(rows, p)
 
 
 def _random_small_matrix(rng):

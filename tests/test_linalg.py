@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import entrywise_modp_echelon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +108,13 @@ def test_wide_and_tall_shapes():
     assert len(basis) == 4
     tall = [[1], [2], [3]]
     assert nullspace_basis(tall) == []
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [2, 4]], [[1, 2], [2, 4, 6]]])
+@pytest.mark.parametrize("route", [nullspace_basis, PrefixNullspaces, exact_nullspace])
+def test_ragged_rows_are_a_value_error(route, rows):
+    with pytest.raises(ValueError, match="row 1 has"):
+        route(rows)
 
 
 def test_one_elimination_at_prime_lifts_720_bit_nullvector(monkeypatch):
@@ -264,3 +272,20 @@ def test_rank4_equation_guess_eliminates_once(monkeypatch):
     assert report.found and report.equation.y_degree == 16
     assert mr.check_shape_conjecture(report.equation, 4)
     assert calls == [153]
+
+
+def test_guessers_match_with_the_entrywise_kernel(monkeypatch):
+    # Both guessers give the same answers with the packed kernel and with
+    # the entry-by-entry oracle in its place.
+    def guesses():
+        recs = [
+            mr.guess_recurrence(mr.count_sequence(mr.WeightSpec.parse(text), 119), 10, 7)
+            for text in ("2,1;1;3,1", "1,2;1;1,2")  # a (10, 7) and a (5, 4) relation
+        ]
+        series = mr.CoeffSeries(mr.count_sequence(mr.WeightSpec.all_ones(2), 59))
+        return [rec.to_json_dict() for rec in recs], mr.guess_algebraic_equation(series, 4)
+
+    packed = guesses()
+    monkeypatch.setattr(backend, "modp_echelon", entrywise_modp_echelon)
+    assert guesses() == packed
+    assert [rec["order"] for rec in packed[0]] == [10, 5] and packed[1].found
