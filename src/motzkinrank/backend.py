@@ -2,13 +2,22 @@
 
 These loops dominate the runtime of the whole package: truncated series
 convolution, the weighted lattice-path DP step, LU factorization mod a
-prime, and fraction-free (Bareiss) row echelon over the integers.  The
-modular LU packs each row's columns not yet eliminated into one int,
-the current column lowest, so a row update is one big-integer
+prime, and fraction-free (Bareiss) row echelon over the integers.
+
+The modular LU packs each row's columns not yet eliminated into one
+int, the current column lowest, so a row update is one big-integer
 multiply-add rather than a loop over entries, on a row that loses a
-slot at every column.  Callers look them up as ``backend.<kernel>`` at
-call time, so a wrapper installed on this module (as the benchmark's
-spans are) wraps the code that runs.  ``BACKEND`` names the
+slot at every column.  ``packed_echelon`` is the one elimination loop.
+``modp_echelon`` packs integer rows and hands them to it; a caller that
+can build its rows' residues packed (the recurrence systems, from the
+residues of their terms) calls it directly.  The layout is this
+module's: ``slot_bits`` gives the slot width and its no-carry bound,
+``pack`` the order of the slots.
+
+Callers look the kernels up as ``backend.<kernel>`` at call time, and
+``modp_echelon`` looks up ``packed_echelon`` the same way, so a wrapper
+installed on this module (as the benchmark's spans and the tests'
+counters are) wraps the code that runs.  ``BACKEND`` names the
 implementation; it is recorded with every benchmark result.
 """
 
@@ -97,14 +106,31 @@ def dp_rows(deltas, weights, n, start, caps):
     return rows
 
 
-def _pack(values, sb):
-    """One int holding ``values`` (each below 256**sb) in sb-byte slots,
-    the first value in the lowest slot."""
+def slot_bits(p, ncols):
+    """Slot width S of a packed row of ncols residues mod the prime p.
+
+    S >= 2 * p.bit_length() + ncols.bit_length() + 1, rounded up to whole
+    bytes so rows pack and unpack through ``bytes``.  An entry may start
+    at any value below p**2 (a product of two residues), and the
+    elimination adds less than p**2 to it once per pivot left of it, so
+    it stays below (ncols + 1) * p**2 < 2**S: no slot carries into the
+    next.
+    """
+    return 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
+
+
+def pack(values, s):
+    """One int holding ``values`` (each below 2**s) in s-bit slots, the
+    first value in the lowest slot: value j sits at bits j*s..(j+1)*s-1.
+    So ``x >> s`` drops the first value, ``x | v << (j * s)`` puts v in
+    empty slot j, and a packed row of a slots is one slot of width a*s.
+    s is a multiple of 8, as ``slot_bits`` gives it."""
+    sb = s // 8
     return int.from_bytes(b"".join([v.to_bytes(sb, "little") for v in values]), "little")
 
 
 def _unpack(x, n, sb):
-    """The n sb-byte slots of x, lowest first: the inverse of ``_pack``."""
+    """The n sb-byte slots of x, lowest first: the inverse of ``pack``."""
     b = x.to_bytes(n * sb, "little")
     return [int.from_bytes(b[j : j + sb], "little") for j in range(0, n * sb, sb)]
 
@@ -127,35 +153,48 @@ def modp_echelon(rows, p):
     first w columns this is the factorization of that column prefix,
     with the pivots below w.
 
+    The residues are packed at ``slot_bits(p, ncols)`` and eliminated
+    by ``packed_echelon``, into the cleared input rows.
+    """
+    ncols = len(rows[0]) if rows else 0
+    s = slot_bits(p, ncols)
+    packed = [pack([v % p for v in row], s) for row in rows]
+    for row in rows:
+        row[:] = [0] * ncols
+    return packed_echelon(packed, rows, p)
+
+
+def packed_echelon(packed, rows, p):
+    """``modp_echelon`` of the matrix whose rows are given packed.
+
+    ``packed[i]`` holds row i's ncols entries as ``pack`` lays them out
+    at ``slot_bits(p, ncols)``, each slot below p**2; their residues mod
+    p are the matrix.  ``rows`` are nrows lists of ncols zeros, which
+    receive ``modp_echelon``'s output and are swapped with ``order``.
+    ``packed`` is consumed.
+
     Rows are eliminated packed (Dumas, Fousse and Salvy, "Simultaneous
     modular reduction and Kronecker substitution for small finite
-    fields", JSC 2011): each row is one int with its residues in slots
-    of S >= 2 * p.bit_length() + ncols.bit_length() + 1 bits, rounded up
-    to whole bytes so rows pack and unpack through ``bytes``.  A row
-    carries only the columns not yet eliminated, the current column c in
-    its lowest slot, so the pivot search and the multiplier read the
-    low S bits of a row, whatever its length.  At c the pivot row leaves
-    the packed rows: its tail (the slots right of c) is reduced, scaled
-    by the pivot's inverse and written out as its U row.  Every row
-    below it records its multiplier m, drops its lowest slot and, when
-    m is nonzero, takes one multiply-add, R = (R >> S) + (p - m) * tail,
-    with no reduction.  A column without a pivot is dropped from every
-    row left.
-    No slot carries into the next: an entry starts below p and gains
-    less than p**2 per update, once per pivot left of it, so it stays
-    below p + ncols * p**2 < 2**S.  Multipliers and U rows go straight
-    into the output rows, so nothing is unpacked at the end.
+    fields", JSC 2011).  A row carries only the columns not yet
+    eliminated, the current column c in its lowest slot, so the pivot
+    search and the multiplier read the low S bits of a row, whatever
+    its length.  At c the pivot row leaves the packed rows: its tail
+    (the slots right of c) is reduced, scaled by the pivot's inverse and
+    written out as its U row.  Every row below it records its multiplier
+    m, drops its lowest slot and, when m is nonzero, takes one
+    multiply-add, R = (R >> S) + (p - m) * tail, with no reduction.  A
+    column without a pivot is dropped from every row left.  Each update
+    adds less than p**2 to a slot, within the bound of ``slot_bits``.
+    Multipliers and U rows go straight into the output rows, so nothing
+    is unpacked at the end.
     """
-    nrows = len(rows)
+    nrows = len(packed)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     order = list(range(nrows))
-    sb = (2 * p.bit_length() + ncols.bit_length() + 8) // 8  # slot bytes
-    s = 8 * sb
+    s = slot_bits(p, ncols)
+    sb = s // 8
     mask = (1 << s) - 1
-    packed = [_pack([v % p for v in row], sb) for row in rows]
-    for row in rows:
-        row[:] = [0] * ncols
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -174,7 +213,7 @@ def modp_echelon(rows, p):
         out = rows[r]
         out[c] = d
         out[c + 1 :] = u = [v * inv % p for v in _unpack(x >> s, ncols - 1 - c, sb)]
-        tail = _pack(u, sb)
+        tail = pack(u, s)
         for i in range(r + 1, nrows):
             x = packed[i]
             m = (x & mask) % p

@@ -6,12 +6,16 @@ y-degrees of one algebraic ansatz.  ``PrefixNullspaces`` answers every
 prefix width from one elimination:
 
 * One LU factorization mod the 61-bit prime ``PRIME``
-  (``backend.modp_echelon``), eliminated on packed rows: each row is one
-  int holding only its columns not yet eliminated, so a row update is
-  one big-integer multiply-add on a row that shrinks by a slot per
+  (``backend.packed_echelon``), eliminated on packed rows: each row is
+  one int holding only its columns not yet eliminated, so a row update
+  is one big-integer multiply-add on a row that shrinks by a slot per
   column.  Row operations never mix columns, so cut to its first w
   columns it factors the width-w prefix, whose pivots are the ones
-  below w.
+  below w.  A system given as integer rows is packed by
+  ``backend.modp_echelon``; ``PrefixNullspaces.from_packed`` takes the
+  rows' residues already packed and a function that builds the integer
+  rows, which runs only when a lift, the Hadamard bound or the exact
+  route first needs them.
 * Full rank.  w pivots below column w certify that the prefix has no
   nullvector: reduction mod p can only lower the rank.
 * Otherwise every canonical nullvector of the prefix is lifted
@@ -42,7 +46,8 @@ prefix width from one elimination:
   against each other.
 
 Nothing leaves this module unverified, so an unlucky prime can cost
-time but never an answer.  Both routes take rectangular rows only: a
+time but never an answer: every lifted vector is checked on all the
+integer rows.  Both routes take rectangular rows only: a
 ragged row is a ``ValueError`` before any elimination.
 """
 
@@ -132,27 +137,53 @@ class PrefixNullspaces:
     ``rows`` is an integer matrix (clear denominators first).
     ``full_rank(w)`` and ``basis(w)`` answer for its first w columns by
     the route in the module docstring.  The system is eliminated once,
-    here, mod ``PRIME``.
+    here, mod ``PRIME``.  ``from_packed`` builds the same object from
+    the rows' residues, packed.
     """
 
     def __init__(self, rows):
         _check_rectangular(rows)
-        self.rows = rows
+        self._rows = rows
+        lu = [row[:] for row in rows]
+        self._factor(lu, *backend.modp_echelon(lu, PRIME))
+
+    @classmethod
+    def from_packed(cls, packed, ncols, build_rows):
+        """The system whose rows mod ``PRIME`` are ``packed``, laid out
+        by ``backend.pack`` at ``backend.slot_bits(PRIME, ncols)`` with
+        each slot below PRIME**2, and whose integer rows ``build_rows()``
+        returns.  They are built the first time a lift, the Hadamard
+        bound or the exact route needs them, so a system whose every
+        prefix asked is certified by full rank never builds them."""
+        self = cls.__new__(cls)
+        self._rows = None
+        self._build_rows = build_rows
+        lu = [[0] * ncols for _ in packed]
+        self._factor(lu, *backend.packed_echelon(packed, lu, PRIME))
+        return self
+
+    def _factor(self, lu, pivots, order):
+        # The square block B of pivot rows and pivot columns, and its
+        # factors mod p: B = L U with L lower (pivot values on its
+        # diagonal, inverted here) and U unit upper.  The pivot rows and
+        # B itself are read off the integer rows at the first lift.
+        p = PRIME
         self._norms = None
         self._canonical = {}  # free column -> its verified canonical vector
         self._unlucky = None  # first free column whose lift failed
-        p = PRIME
-        lu = [row[:] for row in rows]
-        pivots, order = backend.modp_echelon(lu, p)
-        # The square block B of pivot rows and pivot columns, and its
-        # factors mod p: B = L U with L lower (pivot values on its
-        # diagonal, inverted here) and U unit upper.
         self._pivots = pivots
+        self._order = order
         self._inv = [pow(lu[k][c], -1, p) for k, c in enumerate(pivots)]
         self._lower = [[lu[k][c] for c in pivots[:k]] for k in range(len(pivots))]
         self._upper = [[lu[k][c] for c in pivots[k + 1 :]] for k in range(len(pivots))]
-        self._pivot_rows = [rows[i] for i in order[: len(pivots)]]
-        self._block = [[row[c] for c in pivots] for row in self._pivot_rows]
+        self._block = None
+
+    @property
+    def rows(self):
+        """The integer rows, built on first use."""
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows
 
     def full_rank(self, w) -> bool:
         """Certified: the first w columns have no nullvector."""
@@ -183,9 +214,13 @@ class PrefixNullspaces:
         p, inv, lower, upper = PRIME, self._inv, self._lower, self._upper
         r = bisect_left(self._pivots, f)
         cols = self._pivots[:r]
+        if self._block is None:
+            pivot_rows = [self.rows[i] for i in self._order[: len(self._pivots)]]
+            self._block = pivot_rows, [[row[c] for c in self._pivots] for row in pivot_rows]
+        pivot_rows, block = self._block
         # Solve B x = -(column f on the pivot rows), truncated to the
         # pivots below f, one p-adic digit y per step.
-        res = [-row[f] for row in self._pivot_rows[:r]]
+        res = [-row[f] for row in pivot_rows[:r]]
         x = [0] * r
         modulus = 1
         limit = None
@@ -195,7 +230,7 @@ class PrefixNullspaces:
                 y.append((res[k] - sum(map(mul, lower[k], y))) * inv[k] % p)
             for k in range(r - 1, -1, -1):
                 y[k] = (y[k] - sum(map(mul, upper[k], y[k + 1 :]))) % p
-            res = [(a - sum(map(mul, b, y))) // p for a, b in zip(res, self._block)]
+            res = [(a - sum(map(mul, b, y))) // p for a, b in zip(res, block)]
             x = [a + modulus * b for a, b in zip(x, y)]
             modulus *= p
             v = [0] * (f + 1)

@@ -14,12 +14,16 @@ how desk-scale minimality evidence is collected.
 
 Both scan order by order and make one elimination per order.  All
 cells of order k share the rows n = 0..len(terms)-k-guard-1, so order
-k's system is built once, with its columns degree-major (every m_{n+i}
-for n^0, then for n^1, ...), and handed to ``linalg.PrefixNullspaces``.
-Cell (k, d) is then the column prefix of width w = (k+1)(d+1): full
-column rank mod p, read off the pivots, certifies an empty cell, and
-otherwise the prefix's canonical nullvectors are lifted p-adically from
-the same factorization.  The candidates of a cell are the canonical
+k's system is eliminated once, with its columns degree-major (every
+m_{n+i} for n^0, then for n^1, ...), by ``linalg.PrefixNullspaces``.
+Its rows are packed for the modular elimination straight from the
+terms mod p, never from the integer entries t_{n+i} n^e.  Cell (k, d)
+is then the column prefix of width w = (k+1)(d+1): full column rank
+mod p, read off the pivots, certifies an empty cell, and otherwise the
+prefix's canonical nullvectors are lifted p-adically from the same
+factorization and checked on the integer system, which is built for
+that order at its first lift.  An order whose every cell is full rank
+never builds it.  The candidates of a cell are the canonical
 vectors of its own order-major columns (all n-powers for m_n, then for
 m_{n+1}, ...), read exactly off that basis: when the cell's nullspace
 has dimension 2 or more, the two layouts can pick different canonical
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import intpoly, linalg, published
+from . import backend, intpoly, linalg, published
 from .errors import (
     InsufficientTerms,
     NonIntegralStep,
@@ -167,8 +171,8 @@ def _check_terms(terms, max_order, max_degree, guard):
         )
 
 
-def _order_system(terms, k, max_degree, guard):
-    """Order k's system over rows n = 0..len-k-guard-1 (the last
+def _order_rows(terms, k, max_degree, guard):
+    """Order k's integer system over rows n = 0..len-k-guard-1 (the last
     ``guard`` applicable instances withheld), columns degree-major up to
     ``max_degree``: every m_{n+i} for n^0, then for n^1, and so on."""
     rows = []
@@ -180,7 +184,44 @@ def _order_system(terms, k, max_degree, guard):
             row += [t * e for t in window]
             e *= n
         rows.append(row)
-    return linalg.PrefixNullspaces(rows)
+    return rows
+
+
+def _packed_rows(terms, k, max_degree, guard, p):
+    """``_order_rows``'s rows mod the prime p, packed by ``backend.pack``
+    at ``backend.slot_bits`` straight from the terms mod p.
+
+    Row n's degree-e block is (n^e mod p) times the packed window
+    t_n..t_{n+k} mod p, and the next row's window drops t_n and takes
+    t_{n+k+1}: a row costs a few big-integer operations per degree, and
+    each term is reduced once, not once per entry.  Each slot is a
+    product of two residues, below p**2.
+    """
+    nrows = len(terms) - k - guard
+    s = backend.slot_bits(p, (k + 1) * (max_degree + 1))
+    top, block = k * s, (k + 1) * s
+    residues = [t % p for t in terms[: nrows + k]]
+    window = backend.pack(residues[:k], s) << s
+    packed = []
+    for n in range(nrows):
+        window = (window >> s) | residues[n + k] << top
+        row, c, at = 0, 1, 0
+        for _ in range(max_degree + 1):
+            row |= c * window << at
+            c = c * n % p
+            at += block
+        packed.append(row)
+    return packed
+
+
+def _order_system(terms, k, max_degree, guard):
+    """Order k's system, eliminated from ``_packed_rows``; its integer
+    rows are built only if a prefix has to be lifted."""
+    return linalg.PrefixNullspaces.from_packed(
+        _packed_rows(terms, k, max_degree, guard, linalg.PRIME),
+        (k + 1) * (max_degree + 1),
+        lambda: _order_rows(terms, k, max_degree, guard),
+    )
 
 
 def _cell_relation(terms, system, k, d, max_candidates=8):

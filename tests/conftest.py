@@ -7,9 +7,13 @@ pass/fail state of each criterion is visible at a glance.
 ``entrywise_modp_echelon`` is the reference LU mod p that the packed
 ``backend.modp_echelon`` must reproduce bit for bit, shared by the
 kernel's parity tests and the guessers' parity test.
+``entrywise_packed_echelon`` is its twin with the contract of
+``backend.packed_echelon``, the elimination every LU mod p goes through.
 """
 
 from __future__ import annotations
+
+from motzkinrank import backend
 
 # tag -> (description, passed); populated by tests/test_acceptance.py
 _CRITERIA: dict[str, tuple[str, bool]] = {}
@@ -67,3 +71,16 @@ def entrywise_modp_echelon(rows, p):
         pivots.append(c)
         r += 1
     return pivots, order
+
+
+def entrywise_packed_echelon(packed, rows, p):
+    """``entrywise_modp_echelon`` on packed input, with
+    ``backend.packed_echelon``'s contract: the slots of ``packed`` at
+    ``backend.slot_bits`` are written into ``rows``, lowest slot first,
+    and eliminated there."""
+    ncols = len(rows[0]) if rows else 0
+    s = backend.slot_bits(p, ncols)
+    mask = (1 << s) - 1
+    for row, x in zip(rows, packed):
+        row[:] = [x >> (j * s) & mask for j in range(ncols)]
+    return entrywise_modp_echelon(rows, p)

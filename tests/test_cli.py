@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, reproduce targets."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,27 @@ def test_scan_min(capsys):
     payload = json.loads(out)
     assert payload["smallest"] == [2, 1]
     assert [2, 1] in payload["hits"]
+
+
+# The JSON of a (10, 7) recurrence guess and of C4's scan, as eliminating
+# the integer rows gave it: any other route to these answers must print
+# the same bytes.
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("guess_rec.json", ("guess-rec", "--weights", "1,2;1;1,3", "--terms", "120",
+                            "--max-order", "10", "--max-degree", "7")),
+        ("scan_min.json", ("scan-min", "--rank", "2", "--terms", "120",
+                           "--max-order", "5", "--max-degree", "5")),
+    ],
+)
+def test_recurrence_output_is_pinned(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (PINNED / name).read_bytes()
 
 
 def test_biject(capsys):

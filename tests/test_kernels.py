@@ -16,7 +16,7 @@ def test_backend_selection():
     # Callers and the benchmark's spans look the kernels up on the
     # backend module, so each must be defined there.
     assert backend.BACKEND == motzkinrank.BACKEND == "pure"
-    for name in ("conv_trunc", "dp_rows", "modp_echelon", "bareiss_echelon"):
+    for name in ("conv_trunc", "dp_rows", "modp_echelon", "packed_echelon", "bareiss_echelon"):
         assert getattr(backend, name).__module__ == "motzkinrank.backend"
 
 

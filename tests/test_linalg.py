@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import entrywise_modp_echelon
+from conftest import entrywise_packed_echelon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,9 +142,11 @@ def test_one_elimination_at_prime_lifts_720_bit_nullvector(monkeypatch):
 def _count_routes(monkeypatch):
     # (prime, width) of each modular elimination, width of each Bareiss one
     modular, exact = [], []
-    echelon, bareiss = backend.modp_echelon, backend.bareiss_echelon
+    echelon, bareiss = backend.packed_echelon, backend.bareiss_echelon
     monkeypatch.setattr(
-        backend, "modp_echelon", lambda rows, p: modular.append((p, len(rows[0]))) or echelon(rows, p)
+        backend,
+        "packed_echelon",
+        lambda packed, rows, p: modular.append((p, len(rows[0]))) or echelon(packed, rows, p),
     )
     monkeypatch.setattr(
         backend, "bareiss_echelon", lambda rows: exact.append(len(rows[0])) or bareiss(rows)
@@ -247,9 +249,11 @@ def test_canonical_basis_reads_a_span_in_another_column_order():
 
 def _count_eliminations(monkeypatch):
     calls = []
-    echelon = backend.modp_echelon
+    echelon = backend.packed_echelon
     monkeypatch.setattr(
-        backend, "modp_echelon", lambda rows, p: calls.append(len(rows[0])) or echelon(rows, p)
+        backend,
+        "packed_echelon",
+        lambda packed, rows, p: calls.append(len(rows[0])) or echelon(packed, rows, p),
     )
     monkeypatch.setattr(backend, "bareiss_echelon", None)
     return calls
@@ -286,6 +290,6 @@ def test_guessers_match_with_the_entrywise_kernel(monkeypatch):
         return [rec.to_json_dict() for rec in recs], mr.guess_algebraic_equation(series, 4)
 
     packed = guesses()
-    monkeypatch.setattr(backend, "modp_echelon", entrywise_modp_echelon)
+    monkeypatch.setattr(backend, "packed_echelon", entrywise_packed_echelon)
     assert guesses() == packed
     assert [rec["order"] for rec in packed[0]] == [10, 5] and packed[1].found

@@ -1,11 +1,12 @@
 """Polynomial-coefficient recurrences: verify, extend, guess, scan."""
 
 import pytest
-from hypothesis import assume, given, settings
+from conftest import entrywise_modp_echelon
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import motzkinrank as mr
-from motzkinrank import MinimalityReport, Recurrence, intpoly, linalg
+from motzkinrank import MinimalityReport, Recurrence, backend, intpoly, linalg, recurrence
 from motzkinrank.recurrence import shift_left_multiply
 
 
@@ -240,12 +241,17 @@ def test_nullity_two_cells_keep_their_own_candidates(weights, start, end, n_term
 
 
 @st.composite
-def _recurrence_cases(draw):
+def _rank_le_2_specs(draw):
     rank = draw(st.integers(1, 2))
     weights = st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
-    spec = mr.WeightSpec(tuple(draw(weights)), draw(st.integers(0, 3)), tuple(draw(weights)))
-    start = draw(st.integers(0, rank))
-    end = draw(st.integers(0, rank))
+    return mr.WeightSpec(tuple(draw(weights)), draw(st.integers(0, 3)), tuple(draw(weights)))
+
+
+@st.composite
+def _recurrence_cases(draw):
+    spec = draw(_rank_le_2_specs())
+    start = draw(st.integers(0, spec.rank))
+    end = draw(st.integers(0, spec.rank))
     n_terms = draw(st.integers(40, 90))
     return spec, start, end, n_terms, draw(st.integers(1, 6)), draw(st.integers(0, 5))
 
@@ -262,3 +268,85 @@ def test_order_major_scan_matches_cell_by_cell(case):
     guess, hits = _cell_by_cell(terms, max_order, max_degree)
     assert report.hits == hits
     assert mr.guess_recurrence(terms, max_order, max_degree) == guess
+
+
+@st.composite
+def _order_system_cases(draw):
+    # Terms that are zero, small, multiples of p, or up to 400 bits, of
+    # either sign; or a rank-1 count sequence times a large factor, whose
+    # systems are rank-deficient.  Row counts from 1 to a few past the
+    # column count.
+    p = draw(st.sampled_from([2, 3, 97, linalg.PRIME]))
+    k, d, guard = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    size = k + guard + draw(st.integers(1, (k + 1) * (d + 1) + 4))
+    if draw(st.booleans()):
+        u, l, dn = (draw(st.integers(0, 3)) for _ in range(3))
+        scale = draw(st.integers(2**300, 2**350)) * draw(st.sampled_from([1, -1]))
+        terms = [scale * t for t in mr.count_sequence(mr.WeightSpec.rank1(u, l, dn), size - 1)]
+    else:
+        term = st.one_of(
+            st.just(0),
+            st.integers(-3, 3),
+            st.integers(-5, 5).map(lambda m: m * p),
+            st.integers(-(2**400), 2**400),
+            st.integers(2**399, 2**400).map(lambda t: -t),
+        )
+        terms = draw(st.lists(term, min_size=size, max_size=size))
+    return terms, k, d, guard, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_system_cases())
+@example(([0, 0, 0], 1, 2, 0, 97))  # rows n = 0, 1: only the n = 0 row's n^0 block survives
+@example(([2**400 - 1, -(2**399), 5, -7, 0, 3, 1, 1], 2, 4, 1, linalg.PRIME))
+def test_packed_order_rows_eliminate_like_the_integer_rows(case):
+    # Packed from residues and eliminated, an order's system gives the
+    # LU of its integer rows bit for bit: pivots, order and every entry,
+    # as modp_echelon and the entry-by-entry oracle give it.
+    terms, k, d, guard, p = case
+    ncols = (k + 1) * (d + 1)
+    rows = recurrence._order_rows(terms, k, d, guard)
+    assert rows[0][: k + 1] == terms[: k + 1]  # 0^0 = 1
+    packed = recurrence._packed_rows(terms, k, d, guard, p)
+    s = backend.slot_bits(p, ncols)
+    slots = [[x >> (j * s) & ((1 << s) - 1) for j in range(ncols)] for x in packed]
+    assert all(v < p * p for row in slots for v in row)
+    assert [[v % p for v in row] for row in slots] == [[v % p for v in row] for row in rows]
+    lu = [[0] * ncols for _ in packed]
+    result = backend.packed_echelon(packed, lu, p)
+    by_rows, oracle = [row[:] for row in rows], [row[:] for row in rows]
+    assert (result, lu) == (backend.modp_echelon(by_rows, p), by_rows)
+    assert (result, lu) == (entrywise_modp_echelon(oracle, p), oracle)
+
+
+def test_integer_systems_are_built_only_for_orders_that_lift(monkeypatch):
+    built = []
+    order_rows = recurrence._order_rows
+    monkeypatch.setattr(
+        recurrence, "_order_rows", lambda terms, k, *rest: built.append(k) or order_rows(terms, k, *rest)
+    )
+    # C4's grid: orders 1-4 are full rank at every width, so only order 5
+    # has a prefix to lift.
+    terms = mr.count_sequence(mr.WeightSpec.all_ones(2), 119)
+    assert all(recurrence._order_system(terms, k, 5, 8).full_rank(6 * (k + 1)) for k in range(1, 5))
+    assert mr.minimality_scan(terms, max_order=5, max_degree=5).hits == ((5, 4), (5, 5))
+    assert built == [5]
+    built.clear()
+    terms = mr.count_sequence(mr.WeightSpec.parse("2,1;1;3,1"), 119)
+    assert mr.guess_recurrence(terms, 10, 7).order == 10
+    assert built == [10]
+
+
+@settings(max_examples=20, deadline=None)
+@given(_rank_le_2_specs())
+@example(mr.WeightSpec((0,), 0, (0,)))  # 1, 0, 0, ...
+@example(mr.WeightSpec((0, 2), 1, (3, 0)))
+def test_guessed_recurrence_extends_the_counts(spec):
+    # Guessed from 120 counts, a relation extends them to the DP's counts
+    # up to 240; rank 1 always has one, of order 2 and degree 1.
+    counts = mr.count_sequence(spec, 239)
+    rec = mr.guess_recurrence(counts[:120], 10, 7)
+    if spec.rank == 1:
+        assert rec is not None
+    if rec is not None:
+        assert mr.apply_recurrence(rec, counts[:120], 240) == counts
