@@ -327,11 +327,11 @@ def rank2_general_equation_check(u1, u2, l, d1, d2, order: int = 40) -> bool:
     and checks it against the fixed-point solution for the same spec,
     truncated at ``order``.
     """
-    from .genfunc import solve_series
+    from .genfunc import generating_series
     from .paths import WeightSpec
 
     if order < 30:
         raise InsufficientOrder("the sextic check needs order >= 30")
     eq = rank2_general_sextic(u1, u2, l, d1, d2)
-    series = solve_series(WeightSpec((u1, u2), l, (d1, d2)), order)[0, 0]
+    series = generating_series(WeightSpec((u1, u2), l, (d1, d2)), order)
     return verify_algebraic_equation(eq, series)

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import counting, genfunc, intpoly, published, recurrence
@@ -131,8 +132,11 @@ def _emit(args, payload, plain_lines=None, csv_rows=None):
         lines = plain_lines if plain_lines is not None else [json.dumps(payload)]
         text = "".join(line + "\n" for line in lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            args._parser.error(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -202,7 +206,7 @@ def _cmd_series(args):
     spec = _resolve_spec(args)
     if not (0 <= args.i < spec.rank and 0 <= args.j < spec.rank):
         args._parser.error(f"--i and --j must lie in 0..{spec.rank - 1}")
-    family = genfunc.solve_series(spec, args.order, symmetric=args.symmetric)
+    family = genfunc.solve_series(spec, args.order, symmetric=spec.is_all_ones)
     series = family[args.i, args.j]
     _emit(
         args,
@@ -399,8 +403,7 @@ def _rep_table(rank):
     lines = [f"rank-{rank} all-ones counts, n = 1..{len(expected)}"]
     dp = counting.count_sequence(spec, len(expected))[1:]
     ok = _diff_terms("dp", dp, expected, lines)
-    fam = genfunc.solve_series(spec, len(expected) + 1)
-    ser = list(fam[0, 0].coeffs[1:])
+    ser = list(genfunc.generating_series(spec, len(expected) + 1).coeffs[1:])
     ok = _diff_terms("series", ser, expected, lines) and ok
     return ok, lines
 
@@ -410,7 +413,7 @@ def _rep_algeq(rank):
     verify_order = 120
     solve_order = max(guess_order, verify_order)
     spec = WeightSpec.all_ones(rank)
-    series = genfunc.solve_series(spec, solve_order, symmetric=True)[0, 0]
+    series = genfunc.generating_series(spec, solve_order)
     lines = [f"rank-{rank} annihilating equation (guess on {guess_order} terms)"]
     ok = True
 
@@ -583,11 +586,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--i", type=_nonneg_int, default=0, help="start height label (default 0)")
     sub.add_argument("--j", type=_nonneg_int, default=0, help="end height label (default 0)")
-    sub.add_argument(
-        "--symmetric",
-        action="store_true",
-        help="solve the reduced symmetric system (all-ones specs only)",
-    )
     sub.set_defaults(func=_cmd_series)
 
     sub = new_sub("guess-algeq", "search for an annihilating algebraic equation")
@@ -683,6 +681,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.format == "csv" and not args._csv:
             args._parser.error("--format csv is not supported for this subcommand")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            args._parser.error(f"cannot write --out: no directory for {args.out!r}")
         return args.func(args)
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
         code = exc.code

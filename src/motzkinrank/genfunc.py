@@ -16,7 +16,8 @@ if there is none); the third splits a 0->j path at its last visit to 0.
 
 For the all-ones spec, reversing paths swaps A[i,j] with A[j,i], so the
 system collapses to r(r+1)/2 equations in the unknowns with i >= j
-(``symmetric=True``).
+(``symmetric=True``).  ``generating_series`` and the CLI solve the
+reduced system whenever the spec is all-ones; the series are the same.
 
 ``solve_series`` finds all A[i,j] as truncated integer series by Jacobi
 fixed-point sweeps.  A state that a full-order sweep leaves unchanged
@@ -254,8 +255,9 @@ def solve_series(spec: WeightSpec, order: int, symmetric: bool = False) -> Serie
 
 
 def generating_series(spec: WeightSpec, order: int) -> CoeffSeries:
-    """The 0 -> 0 series (counts of closed paths), solved at the order."""
-    return solve_series(spec, order)[0, 0]
+    """The 0 -> 0 series (counts of closed paths), solved at the order,
+    from the reduced system whenever the spec is all-ones."""
+    return solve_series(spec, order, symmetric=spec.is_all_ones)[0, 0]
 
 
 def system_residual(system: SystemOfEquations, family: SeriesFamily, order=None) -> dict:

@@ -6,7 +6,8 @@ the down steps (1, -j), 1 <= j <= r.  Paths move right one unit per
 step and never dip below the x-axis.  A colored path additionally
 carries, on each step, a color between 1 and the weight of its step
 type, so the number of colored paths equals the weighted count of the
-underlying uncolored paths.
+underlying uncolored paths.  A step is a :class:`Step`, the named
+pair (displacement, color); an uncolored path has every color 1.
 
 For rank 1 the colors of an up step and of its partner down step (the
 first down step to its right at the same height) can be collapsed onto
@@ -23,6 +24,7 @@ from heapq import merge
 from itertools import groupby, product
 from math import prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import backend
 from .errors import (
@@ -142,8 +144,9 @@ class WeightSpec:
         return self.up[j - 1] if displacement > 0 else self.down[j - 1]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
+    """One step: its displacement and its color (1 on an uncolored path)."""
+
     displacement: int
     color: int = 1
 
@@ -223,13 +226,13 @@ class ColoredPath:
                     raise InvalidPath(f"step {i}: bad step token {tok!r}") from None
         return cls(spec, tuple(steps), start_height).validate()
 
-    def step_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Steps as raw (displacement, color) pairs."""
-        return tuple((s.displacement, s.color) for s in self.steps)
+    def step_pairs(self) -> tuple[Step, ...]:
+        """Steps as (displacement, color) pairs, which they already are."""
+        return self.steps
 
     @classmethod
     def from_step_pairs(cls, spec, pairs, start_height=0) -> "ColoredPath":
-        return cls(spec, tuple(Step(d, c) for d, c in pairs), start_height)
+        return cls(spec, tuple(map(Step._make, pairs)), start_height)
 
 
 def capped_dp_rows(spec, n, start, end, colored=True):
@@ -256,39 +259,52 @@ def _predicted_count(spec, n, start, end, colored):
 
 
 def _iter_step_vectors(spec, n, start, end, colored):
-    """Yield step vectors as tuples of (displacement, color) pairs, in
-    lexicographic order by (displacement, color).
+    """Yield step vectors as tuples of :class:`Step`, in lexicographic
+    order by (displacement, color).
 
     A prefix is cut as soon as ``end`` lies farther away than the
     remaining steps can climb or drop with the largest up and down
-    displacements of positive weight.
+    displacements of positive weight.  The walk is a loop over a stack
+    of iterators, one per step taken, so its depth is not bounded by the
+    interpreter's recursion limit.  Every path shares the ``Step``s of
+    one table, and the allowed steps of each (height, steps left) are
+    listed once.
     """
     types = [(d, w) for d, w in spec.step_types() if w > 0]
     rise = max([d for d, _ in types if d > 0], default=0)
     fall = max([-d for d, _ in types if d < 0], default=0)
+    table = [(d, [Step(d, c) for c in range(1, (w if colored else 1) + 1)]) for d, w in types]
+    allowed = {}
+
+    def moves(h, rem):
+        """(step, height after it) from height h with ``rem`` steps to follow."""
+        if (h, rem) not in allowed:
+            allowed[h, rem] = [
+                (s, h + d)
+                for d, group in table
+                if h + d >= 0 and h + d - end <= fall * rem and end - h - d <= rise * rem
+                for s in group
+            ]
+        return iter(allowed[h, rem])
+
+    if n == 0:
+        if start == end:
+            yield ()
+        return
     buf = []
-
-    def walk(h, i):
-        if i == n:
-            if h == end:
-                yield tuple(buf)
-            return
-        rem = n - i - 1
-        for d, w in types:
-            nh = h + d
-            if nh < 0 or nh - end > fall * rem or end - nh > rise * rem:
-                continue
-            if colored:
-                for c in range(1, w + 1):
-                    buf.append((d, c))
-                    yield from walk(nh, i + 1)
-                    buf.pop()
+    stack = [moves(start, n - 1)]
+    while stack:
+        for s, h in stack[-1]:
+            if len(buf) == n - 1:  # the cut leaves only steps that land on end
+                yield (*buf, s)
             else:
-                buf.append((d, 1))
-                yield from walk(nh, i + 1)
+                buf.append(s)
+                stack.append(moves(h, n - 1 - len(buf)))
+                break
+        else:
+            stack.pop()
+            if buf:
                 buf.pop()
-
-    return walk(start, 0)
 
 
 def enumerate_paths(
@@ -317,7 +333,7 @@ def enumerate_paths(
     if predicted > limit:
         raise GuardExceeded(f"predicted {predicted} paths exceed the guard {limit}")
     return [
-        ColoredPath.from_step_pairs(spec, vec, start)
+        ColoredPath(spec, vec, start)
         for vec in _iter_step_vectors(spec, n, start, end, colored)
     ]
 
@@ -371,20 +387,20 @@ def _split_color(c, d):
     return a, c - (a - 1) * d
 
 
-def _recolor_vec(vec, pairs, d):
-    out = list(vec)
+def _recolor_vec(steps, pairs, d):
+    out = list(steps)
     for iu, idn in pairs:
-        out[iu] = (1, 1)
-        out[idn] = (-1, _pair_color(vec[iu][1], vec[idn][1], d))
+        out[iu] = Step(1, 1)
+        out[idn] = Step(-1, _pair_color(steps[iu].color, steps[idn].color, d))
     return out
 
 
-def _recolor_vec_inverse(vec, pairs, d):
-    out = list(vec)
+def _recolor_vec_inverse(steps, pairs, d):
+    out = list(steps)
     for iu, idn in pairs:
-        a, b = _split_color(vec[idn][1], d)
-        out[iu] = (1, a)
-        out[idn] = (-1, b)
+        a, b = _split_color(steps[idn].color, d)
+        out[iu] = Step(1, a)
+        out[idn] = Step(-1, b)
     return out
 
 
@@ -402,8 +418,7 @@ def recolor_bijection(path: ColoredPath) -> ColoredPath:
     u = path.spec.up[0]
     d = path.spec.down[0]
     target = WeightSpec((1,), path.spec.level, (u * d,))
-    vec = _recolor_vec(path.step_pairs(), matching.pairs, d)
-    return ColoredPath.from_step_pairs(target, vec)
+    return ColoredPath(target, _recolor_vec(path.steps, matching.pairs, d))
 
 
 def recolor_inverse(path: ColoredPath, u: int, d: int) -> ColoredPath:
@@ -421,8 +436,8 @@ def recolor_inverse(path: ColoredPath, u: int, d: int) -> ColoredPath:
             f"as required for up weight {u} and down weight {d}"
         )
     matching = find_pairs(path)
-    vec = _recolor_vec_inverse(path.step_pairs(), matching.pairs, d)
-    return ColoredPath.from_step_pairs(WeightSpec((u,), spec.level, (d,)), vec)
+    steps = _recolor_vec_inverse(path.steps, matching.pairs, d)
+    return ColoredPath(WeightSpec((u,), spec.level, (d,)), steps)
 
 
 @dataclass(frozen=True)

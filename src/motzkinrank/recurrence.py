@@ -119,8 +119,16 @@ class Recurrence:
 
 
 def verify_recurrence(rec: Recurrence, terms) -> bool:
-    """Does the relation hold at every applicable index of terms?"""
+    """Does the relation hold at every applicable index of terms?
+
+    Raises ``InsufficientTerms`` when the terms hold no instance of the
+    relation (at most ``rec.order`` of them), which would verify nothing.
+    """
     k = rec.order
+    if len(terms) <= k:
+        raise InsufficientTerms(
+            f"an order-{k} relation needs at least {k + 1} terms to check, got {len(terms)}"
+        )
     polys = rec.coeff_polys
     for n in range(len(terms) - k):
         if sum(intpoly.evaluate(polys[i], n) * terms[n + i] for i in range(k + 1)):

@@ -115,6 +115,24 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == {"n": 5, "value": "21"}
 
 
+def test_out_to_a_missing_directory_exits_2_before_the_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted before refusing --out")
+
+    monkeypatch.setattr(mr.counting, "count_paths_dp", no_work)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "count", "--rank", "1", "--n", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert "error: cannot write --out: no directory for" in err
+    assert not target.parent.exists()
+
+
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "count", "--rank", "1", "--n", "3", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "error: cannot write --out: " in err and "no directory" not in err
+
+
 def test_weights_file(tmp_path, capsys):
     wfile = tmp_path / "spec.txt"
     wfile.write_text("2;1;3\n")
@@ -206,6 +224,14 @@ def test_guess_and_verify_rec(tmp_path, capsys):
     assert run(capsys, "verify-rec", "--rank", "1", "--recurrence-file", str(rfile))[0] == 0
 
 
+def test_verify_rec_without_an_instance_exits_1(capsys):
+    # Three terms hold no instance of the order-6 relation.
+    code, out, err = run(capsys, "verify-rec", "--rank", "2", "--builtin", "prodinger", "--terms", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InsufficientTerms: an order-6 relation needs at least 7 terms")
+    assert run(capsys, "verify-rec", "--rank", "2", "--builtin", "prodinger", "--terms", "7")[0] == 0
+
+
 def test_scan_min(capsys):
     code, out, _ = run(
         capsys, "scan-min", "--rank", "1", "--terms", "60",
@@ -236,6 +262,28 @@ def test_recurrence_output_is_pinned(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (PINNED / name).read_bytes()
+
+
+# The series the full system gave for all-ones ranks 1-3, off the
+# diagonal where there is one; the CLI now solves the reduced system.
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("series_rank1.json", ("series", "--rank", "1")),
+        ("series_rank2.json", ("series", "--rank", "2", "--i", "0", "--j", "1")),
+        ("series_rank3.json", ("series", "--rank", "3", "--i", "0", "--j", "2")),
+    ],
+)
+def test_all_ones_series_output_is_pinned(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (PINNED / name).read_bytes()
+
+
+def test_series_symmetric_flag_is_gone(capsys):
+    code, out, err = run(capsys, "series", "--rank", "2", "--symmetric")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --symmetric" in err
 
 
 def test_biject(capsys):

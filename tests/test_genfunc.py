@@ -82,6 +82,21 @@ def test_symmetric_solve_mirrors_offdiagonal():
             assert family[s, t] == full[s, t]
 
 
+def test_generating_series_reduces_exactly_the_all_ones_specs(monkeypatch):
+    solve = mr.genfunc.solve_series
+    seen = []
+
+    def spy(spec, order, symmetric=False):
+        seen.append(symmetric)
+        return solve(spec, order, symmetric)
+
+    monkeypatch.setattr(mr.genfunc, "solve_series", spy)
+    for text in ("1,1,1;1;1,1,1", "1,1,1;2;1,1,1", "1,2;1;2,1"):
+        spec = mr.WeightSpec.parse(text)
+        assert mr.generating_series(spec, 15) == solve(spec, 15)[0, 0]
+    assert seen == [True, False, False]
+
+
 def test_rank1_closed_form():
     for u, l, d in ((1, 1, 1), (2, 1, 3), (1, 0, 1), (2, 4, 1)):
         closed = mr.rank1_closed_form_series(u, l, d, 30)

@@ -1,7 +1,9 @@
 """Path model, enumeration guards, and the recoloring bijection."""
 
+import hashlib
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,17 @@ def test_path_text_roundtrip_and_weight():
     assert mr.ColoredPath.from_step_pairs(spec, pairs) == path
 
 
+def test_step_is_a_displacement_color_pair():
+    assert mr.Step(-2) == mr.Step(-2, 1) == (-2, 1)
+    step = mr.Step(1, 2)
+    assert (step.displacement, step.color) == (1, 2)
+    assert repr(step) == "Step(displacement=1, color=2)"
+    with pytest.raises(AttributeError):
+        step.color = 3
+    assert {step: 1}[mr.Step(1, 2)] == 1
+    assert hash(step) == hash((1, 2))
+
+
 def test_path_validation_errors():
     spec = mr.WeightSpec.rank1(2, 1, 2)
     with pytest.raises(mr.InvalidPath):
@@ -129,6 +142,43 @@ def test_enumeration_with_zero_top_weights():
                     if min(heights) >= 0 and heights[-1] == end:
                         brute.append(vec)
                 assert [p.step_pairs() for p in found] == brute
+
+
+# md5 over every path of the grid below and over the recoloring of
+# (3;2;2) and back, one text line each, as the recursive walker and the
+# dataclass steps gave them: any other route must give the same paths in
+# the same order.
+PINNED_DIGEST = Path(__file__).resolve().parent / "pinned" / "paths.md5"
+
+
+def test_enumeration_and_recoloring_are_pinned():
+    digest = hashlib.md5()
+    count = 0
+    for text in ("1;1;1", "2;0;3", "0;2;1", "1,1;1;1,1", "2,0;1;1,3", "1,2,1;0;1,0,2"):
+        spec = mr.WeightSpec.parse(text)
+        for n, s, t, colored in product(range(7), range(3), range(3), (True, False)):
+            for p in mr.enumerate_paths(spec, n, s, t, colored):
+                line = f"{text}|{n}|{s}|{t}|{colored}|{p.start_height}|{p.to_text()}\n"
+                digest.update(line.encode())
+                count += 1
+    for n in range(7):
+        for p in mr.enumerate_paths(mr.WeightSpec.rank1(3, 2, 2), n):
+            image = mr.recolor_bijection(p)
+            back = mr.recolor_inverse(image, 3, 2)
+            digest.update(
+                f"{n}|{p.to_text()}|{image.spec.format()}|{image.to_text()}|"
+                f"{back.spec.format()}|{back.to_text()}\n".encode()
+            )
+            count += 1
+    assert f"{count} {digest.hexdigest()}\n" == PINNED_DIGEST.read_text()
+
+
+def test_enumeration_deeper_than_the_recursion_limit():
+    # One level step of weight 1 and nothing else: a single path, walked
+    # 2000 steps deep.
+    found = mr.enumerate_paths(mr.WeightSpec.parse("0;1;0"), 2000, max_length=5000)
+    assert len(found) == 1
+    assert found[0].steps == (mr.Step(0, 1),) * 2000
 
 
 def test_enumeration_guards(monkeypatch):
@@ -198,7 +248,7 @@ def test_recoloring_report_small():
 
 def test_recoloring_report_length_guard():
     # (0;1;0) has one path of each length, so only the length guard stops
-    # a recursion n levels deep.
+    # a walk n steps deep.
     with pytest.raises(mr.GuardExceeded, match="length 5000"):
         mr.recoloring_report(0, 1, 0, 5000)
     with pytest.raises(mr.GuardExceeded, match="length 13"):

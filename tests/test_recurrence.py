@@ -58,6 +58,16 @@ def test_verify_motzkin(motzkin):
     assert not mr.verify_recurrence(mr.motzkin_recurrence(), corrupted)
 
 
+def test_verify_needs_an_instance(motzkin):
+    # At most order-many terms hold no instance, so nothing is verified.
+    rec = mr.motzkin_recurrence()
+    for short in (motzkin[:0], motzkin[:1], motzkin[:2]):
+        with pytest.raises(mr.InsufficientTerms):
+            mr.verify_recurrence(rec, short)
+    assert mr.verify_recurrence(rec, motzkin[:3])
+    assert not mr.verify_recurrence(rec, [1, 1, 3])
+
+
 def test_verify_rank1_general():
     for u, l, d in ((2, 1, 3), (1, 0, 1), (3, 2, 2)):
         terms = mr.count_sequence(mr.WeightSpec.rank1(u, l, d), 40)
