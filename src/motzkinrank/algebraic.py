@@ -140,7 +140,17 @@ def multiply_equations(a: AlgebraicEquation, b: AlgebraicEquation) -> AlgebraicE
 def verify_algebraic_equation(
     eq: AlgebraicEquation, series: CoeffSeries, order: int | None = None
 ) -> bool:
-    """True iff the equation annihilates the series mod x^order."""
+    """True iff the equation annihilates the series mod x^order.
+
+    Raises ``InsufficientOrder`` below order x-degree + 1, where the
+    equation's top x-power never enters the check.
+    """
+    n = series.order if order is None else order
+    floor = max(len(p) for p in eq.coeffs)  # x-degree + 1
+    if n < floor:
+        raise InsufficientOrder(
+            f"an equation of x-degree {floor - 1} needs order at least {floor} to check, got {n}"
+        )
     return not any(eq.residual(series, order).coeffs)
 
 

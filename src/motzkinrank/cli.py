@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import counting, genfunc, intpoly, published, recurrence
 from .algebraic import (
@@ -59,50 +60,54 @@ def _nonneg_int(text):
     return v
 
 
-def _add_output_args(sub, default_format="json"):
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv", "plain"),
-        default=default_format,
-        help=f"output format (default: {default_format})",
-    )
-    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+def _file_arg(parse):
+    """An argparse ``type=`` that opens the file at PATH and parses it.
+
+    Any failure to read or parse it is a one-line usage error naming
+    the file and the cause.
+    """
+
+    def read(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return parse(fh)
+        except (OSError, KeyError, TypeError, ValueError, InvalidSpec) as exc:
+            raise argparse.ArgumentTypeError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+    return read
+
+
+_BUILTIN_RECURRENCES = {
+    "motzkin": recurrence.motzkin_recurrence,
+    "prodinger": recurrence.prodinger_recurrence,
+}
 
 
 def _add_spec_args(sub):
-    sub.add_argument(
+    given = sub.add_mutually_exclusive_group()
+    given.add_argument(
         "--weights",
         type=_weights_arg,
         metavar="U;L;D",
         help="weight spec as 'u_1,..,u_r;l;d_1,..,d_r' (rank inferred)",
     )
-    sub.add_argument(
+    given.add_argument(
         "--weights-file",
+        dest="weights",
+        type=_file_arg(lambda fh: WeightSpec.parse(fh.read().strip())),
         metavar="PATH",
         help="file containing one weight spec in the --weights grammar",
     )
     sub.add_argument(
         "--rank",
         type=_positive_int,
-        help="with --weights: cross-check the rank; alone: use the "
+        help="with a weight spec: cross-check the rank; alone: use the "
         "all-ones spec of this rank",
     )
 
 
 def _resolve_spec(args) -> WeightSpec:
     spec = args.weights
-    if args.weights_file is not None:
-        if spec is not None:
-            args._parser.error("give either --weights or --weights-file, not both")
-        try:
-            with open(args.weights_file, encoding="utf-8") as fh:
-                text = fh.read().strip()
-        except OSError as exc:
-            args._parser.error(f"cannot read --weights-file: {exc}")
-        try:
-            spec = WeightSpec.parse(text)
-        except InvalidSpec as exc:
-            args._parser.error(f"--weights-file: {exc}")
     if spec is None:
         if args.rank is None:
             args._parser.error("a weight spec is required (--weights, --weights-file, or --rank)")
@@ -112,6 +117,11 @@ def _resolve_spec(args) -> WeightSpec:
             f"--rank {args.rank} contradicts the weight spec (rank {spec.rank})"
         )
     return spec
+
+
+def _terms(args) -> list[int]:
+    """The dp counts n = 0..terms-1 that a recurrence is fitted to or checked on."""
+    return counting.count_sequence(_resolve_spec(args), args.terms - 1, args.start, args.end)
 
 
 def _emit(args, payload, plain_lines=None, csv_rows=None):
@@ -139,16 +149,6 @@ def _emit(args, payload, plain_lines=None, csv_rows=None):
             args._parser.error(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
-
-
-def _load_json_file(args, path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        args._parser.error(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        args._parser.error(f"{path} is not valid JSON: {exc}")
 
 
 # ---------------------------------------------------------------- commands
@@ -220,7 +220,7 @@ def _cmd_series(args):
 def _cmd_guess_algeq(args):
     spec = _resolve_spec(args)
     series = genfunc.generating_series(spec, args.order)
-    max_y = args.max_y_degree if args.max_y_degree else 2**spec.rank
+    max_y = args.max_y_degree or 2**spec.rank
     report = guess_algebraic_equation(
         series, max_y, max_x_degree=args.max_x_degree, guard=args.guard
     )
@@ -246,21 +246,9 @@ def _cmd_guess_algeq(args):
     return 0
 
 
-def _load_equation(args) -> AlgebraicEquation:
-    if (args.equation_file is None) == (args.reference is None):
-        args._parser.error("give exactly one of --equation-file or --reference")
-    if args.reference is not None:
-        return reference_equation(args.reference)
-    data = _load_json_file(args, args.equation_file)
-    try:
-        return AlgebraicEquation.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        args._parser.error(f"bad equation file: {exc}")
-
-
 def _cmd_verify_algeq(args):
     spec = _resolve_spec(args)
-    eq = _load_equation(args)
+    eq = args.equation_file or reference_equation(args.reference)
     series = genfunc.generating_series(spec, args.order)
     ok = verify_algebraic_equation(eq, series)
     _emit(
@@ -275,8 +263,7 @@ def _cmd_verify_algeq(args):
 
 
 def _cmd_guess_rec(args):
-    spec = _resolve_spec(args)
-    terms = counting.count_sequence(spec, args.terms - 1, args.start, args.end)
+    terms = _terms(args)
     rec = recurrence.guess_recurrence(
         terms, max_order=args.max_order, max_degree=args.max_degree, guard=args.guard
     )
@@ -298,24 +285,9 @@ def _cmd_guess_rec(args):
     return 0
 
 
-def _load_recurrence(args) -> recurrence.Recurrence:
-    if (args.recurrence_file is None) == (args.builtin is None):
-        args._parser.error("give exactly one of --recurrence-file or --builtin")
-    if args.builtin == "motzkin":
-        return recurrence.motzkin_recurrence()
-    if args.builtin == "prodinger":
-        return recurrence.prodinger_recurrence()
-    data = _load_json_file(args, args.recurrence_file)
-    try:
-        return recurrence.Recurrence.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        args._parser.error(f"bad recurrence file: {exc}")
-
-
 def _cmd_verify_rec(args):
-    spec = _resolve_spec(args)
-    rec = _load_recurrence(args)
-    terms = counting.count_sequence(spec, args.terms - 1, args.start, args.end)
+    rec = args.recurrence_file or _BUILTIN_RECURRENCES[args.builtin]()
+    terms = _terms(args)
     ok = recurrence.verify_recurrence(rec, terms)
     _emit(
         args,
@@ -329,18 +301,12 @@ def _cmd_verify_rec(args):
 
 
 def _cmd_scan_min(args):
-    spec = _resolve_spec(args)
-    terms = counting.count_sequence(spec, args.terms - 1, args.start, args.end)
     report = recurrence.minimality_scan(
-        terms, max_order=args.max_order, max_degree=args.max_degree, guard=args.guard
+        _terms(args), max_order=args.max_order, max_degree=args.max_degree, guard=args.guard
     )
     payload = {
-        "terms_used": report.terms_used,
-        "max_order": report.max_order,
-        "max_degree": report.max_degree,
-        "guard": report.guard,
-        "hits": [list(h) for h in report.hits],
-        "smallest": list(report.smallest) if report.smallest else None,
+        **asdict(report),
+        "smallest": report.smallest,
         "observed_term_count": report.observed_term_count,
     }
     lines = [
@@ -361,18 +327,7 @@ def _cmd_scan_min(args):
 
 def _cmd_biject(args):
     report = recoloring_report(args.u, args.level, args.d, args.n, max_paths=args.max_paths)
-    payload = {
-        "u": report.u,
-        "level": report.level,
-        "d": report.d,
-        "n": report.n,
-        "domain_size": report.domain_size,
-        "codomain_size": report.codomain_size,
-        "image_size": report.image_size,
-        "image_in_codomain": report.image_in_codomain,
-        "roundtrip_ok": report.roundtrip_ok,
-        "is_bijection": report.is_bijection,
-    }
+    payload = {**asdict(report), "is_bijection": report.is_bijection}
     lines = [
         f"({args.u};{args.level};{args.d}) n={args.n}: domain {report.domain_size}, "
         f"image {report.image_size}, codomain {report.codomain_size}, "
@@ -535,31 +490,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def new_sub(name, help_text, default_format="json", has_csv=False):
+    def new_sub(
+        name,
+        help_text,
+        func,
+        default_format="json",
+        has_csv=False,
+        spec=True,
+        order=False,
+        terms=False,
+        ends=False,
+        grid=None,
+        guard=False,
+    ):
+        """A subcommand running ``func``, with the output options and the
+        shared option sets its flags name; ``terms`` brings ``ends`` along
+        and ``grid`` is the (--max-order, --max-degree) defaults."""
         sub = subs.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
-        _add_output_args(sub, default_format)
-        sub.set_defaults(_parser=sub, _csv=has_csv)
+        sub.add_argument(
+            "--format",
+            choices=("json", "csv", "plain"),
+            default=default_format,
+            help=f"output format (default: {default_format})",
+        )
+        sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+        sub.set_defaults(func=func, _parser=sub, _csv=has_csv)
+        if spec:
+            _add_spec_args(sub)
+        if order:
+            sub.add_argument(
+                "--order",
+                type=_positive_int,
+                default=SERIES_ORDER_DEFAULT,
+                help=f"truncation order (default {SERIES_ORDER_DEFAULT})",
+            )
+        if terms:
+            sub.add_argument(
+                "--terms",
+                type=_positive_int,
+                default=TERMS_DEFAULT,
+                help=f"number of dp terms n = 0..terms-1 (default {TERMS_DEFAULT})",
+            )
+        if terms or ends:
+            for height in ("start", "end"):
+                sub.add_argument(
+                    f"--{height}", type=_nonneg_int, default=0, help=f"{height} height (default 0)"
+                )
+        if grid:
+            sub.add_argument("--max-order", type=_positive_int, default=grid[0])
+            sub.add_argument("--max-degree", type=_nonneg_int, default=grid[1])
+        if guard:
+            sub.add_argument("--guard", type=_nonneg_int, default=GUARD_DEFAULT)
         return sub
 
-    sub = new_sub("count", "count colored paths of one length", has_csv=True)
-    _add_spec_args(sub)
+    sub = new_sub("count", "count colored paths of one length", _cmd_count, has_csv=True, ends=True)
     sub.add_argument("--n", type=_nonneg_int, required=True, help="path length")
-    sub.add_argument("--start", type=_nonneg_int, default=0, help="start height (default 0)")
-    sub.add_argument("--end", type=_nonneg_int, default=0, help="end height (default 0)")
-    sub.set_defaults(func=_cmd_count)
 
-    sub = new_sub("seq", "count colored paths for every length 0..n-max", has_csv=True)
-    _add_spec_args(sub)
+    sub = new_sub(
+        "seq", "count colored paths for every length 0..n-max", _cmd_seq, has_csv=True, ends=True
+    )
     sub.add_argument("--n-max", type=_nonneg_int, required=True, help="largest length")
-    sub.add_argument("--start", type=_nonneg_int, default=0)
-    sub.add_argument("--end", type=_nonneg_int, default=0)
-    sub.set_defaults(func=_cmd_seq)
 
-    sub = new_sub("enumerate", "list the paths themselves (guarded)", has_csv=True)
-    _add_spec_args(sub)
+    sub = new_sub(
+        "enumerate", "list the paths themselves (guarded)", _cmd_enumerate, has_csv=True, ends=True
+    )
     sub.add_argument("--n", type=_nonneg_int, required=True, help="path length")
-    sub.add_argument("--start", type=_nonneg_int, default=0)
-    sub.add_argument("--end", type=_nonneg_int, default=0)
     sub.add_argument(
         "--uncolored",
         action="store_true",
@@ -574,23 +569,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--max-length", type=_nonneg_int, default=12, help="length guard (default 12)"
     )
-    sub.set_defaults(func=_cmd_enumerate)
 
-    sub = new_sub("series", "solve the quadratic system as truncated series", has_csv=True)
-    _add_spec_args(sub)
-    sub.add_argument(
-        "--order",
-        type=_positive_int,
-        default=SERIES_ORDER_DEFAULT,
-        help=f"truncation order (default {SERIES_ORDER_DEFAULT})",
+    sub = new_sub(
+        "series",
+        "solve the quadratic system as truncated series",
+        _cmd_series,
+        has_csv=True,
+        order=True,
     )
     sub.add_argument("--i", type=_nonneg_int, default=0, help="start height label (default 0)")
     sub.add_argument("--j", type=_nonneg_int, default=0, help="end height label (default 0)")
-    sub.set_defaults(func=_cmd_series)
 
-    sub = new_sub("guess-algeq", "search for an annihilating algebraic equation")
-    _add_spec_args(sub)
-    sub.add_argument("--order", type=_positive_int, default=SERIES_ORDER_DEFAULT)
+    sub = new_sub(
+        "guess-algeq",
+        "search for an annihilating algebraic equation",
+        _cmd_guess_algeq,
+        order=True,
+        guard=True,
+    )
     sub.add_argument(
         "--max-y-degree",
         type=_positive_int,
@@ -603,74 +599,71 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="uniform x-degree bound (default: per-coefficient bound i)",
     )
-    sub.add_argument("--guard", type=_nonneg_int, default=GUARD_DEFAULT)
-    sub.set_defaults(func=_cmd_guess_algeq)
 
-    sub = new_sub("verify-algeq", "verify an equation against a solved series")
-    _add_spec_args(sub)
-    sub.add_argument("--order", type=_positive_int, default=SERIES_ORDER_DEFAULT)
-    sub.add_argument("--equation-file", metavar="PATH", help="equation as JSON")
-    sub.add_argument(
+    sub = new_sub(
+        "verify-algeq", "verify an equation against a solved series", _cmd_verify_algeq, order=True
+    )
+    given = sub.add_mutually_exclusive_group(required=True)
+    given.add_argument(
+        "--equation-file",
+        type=_file_arg(lambda fh: AlgebraicEquation.from_json_dict(json.load(fh))),
+        metavar="PATH",
+        help="equation as JSON",
+    )
+    given.add_argument(
         "--reference",
         type=_positive_int,
         metavar="RANK",
         help="use the embedded reference equation for this rank",
     )
-    sub.set_defaults(func=_cmd_verify_algeq)
 
-    sub = new_sub("guess-rec", "search for a polynomial-coefficient recurrence")
-    _add_spec_args(sub)
-    sub.add_argument(
-        "--terms",
-        type=_positive_int,
-        default=TERMS_DEFAULT,
-        help=f"number of dp terms to fit (default {TERMS_DEFAULT})",
+    new_sub(
+        "guess-rec",
+        "search for a polynomial-coefficient recurrence",
+        _cmd_guess_rec,
+        terms=True,
+        grid=(8, 5),
+        guard=True,
     )
-    sub.add_argument("--start", type=_nonneg_int, default=0)
-    sub.add_argument("--end", type=_nonneg_int, default=0)
-    sub.add_argument("--max-order", type=_positive_int, default=8)
-    sub.add_argument("--max-degree", type=_nonneg_int, default=5)
-    sub.add_argument("--guard", type=_nonneg_int, default=GUARD_DEFAULT)
-    sub.set_defaults(func=_cmd_guess_rec)
 
-    sub = new_sub("verify-rec", "verify a recurrence against dp terms")
-    _add_spec_args(sub)
-    sub.add_argument("--terms", type=_positive_int, default=TERMS_DEFAULT)
-    sub.add_argument("--start", type=_nonneg_int, default=0)
-    sub.add_argument("--end", type=_nonneg_int, default=0)
-    sub.add_argument("--recurrence-file", metavar="PATH", help="recurrence as JSON")
-    sub.add_argument(
-        "--builtin",
-        choices=("motzkin", "prodinger"),
-        help="use an embedded reference relation",
+    sub = new_sub("verify-rec", "verify a recurrence against dp terms", _cmd_verify_rec, terms=True)
+    given = sub.add_mutually_exclusive_group(required=True)
+    given.add_argument(
+        "--recurrence-file",
+        type=_file_arg(lambda fh: recurrence.Recurrence.from_json_dict(json.load(fh))),
+        metavar="PATH",
+        help="recurrence as JSON",
     )
-    sub.set_defaults(func=_cmd_verify_rec)
+    given.add_argument(
+        "--builtin", choices=_BUILTIN_RECURRENCES, help="use an embedded reference relation"
+    )
 
-    sub = new_sub("scan-min", "map which (order, degree) cells admit a relation")
-    _add_spec_args(sub)
-    sub.add_argument("--terms", type=_positive_int, default=TERMS_DEFAULT)
-    sub.add_argument("--start", type=_nonneg_int, default=0)
-    sub.add_argument("--end", type=_nonneg_int, default=0)
-    sub.add_argument("--max-order", type=_positive_int, default=6)
-    sub.add_argument("--max-degree", type=_nonneg_int, default=4)
-    sub.add_argument("--guard", type=_nonneg_int, default=GUARD_DEFAULT)
-    sub.set_defaults(func=_cmd_scan_min)
+    new_sub(
+        "scan-min",
+        "map which (order, degree) cells admit a relation",
+        _cmd_scan_min,
+        terms=True,
+        grid=(6, 4),
+        guard=True,
+    )
 
-    sub = new_sub("biject", "exhaustively verify the rank-1 recoloring bijection")
+    sub = new_sub(
+        "biject", "exhaustively verify the rank-1 recoloring bijection", _cmd_biject, spec=False
+    )
     sub.add_argument("--u", type=_nonneg_int, required=True, help="up weight")
     sub.add_argument("--level", type=_nonneg_int, required=True, help="level weight")
     sub.add_argument("--d", type=_nonneg_int, required=True, help="down weight")
     sub.add_argument("--n", type=_nonneg_int, required=True, help="path length")
     sub.add_argument("--max-paths", type=_positive_int, default=None)
-    sub.set_defaults(func=_cmd_biject)
 
     sub = new_sub(
         "reproduce",
         "re-derive an embedded fixture and diff against the transcription",
+        _cmd_reproduce,
         default_format="plain",
+        spec=False,
     )
     sub.add_argument("target", choices=sorted(_REPRODUCE_TARGETS) + ["all"])
-    sub.set_defaults(func=_cmd_reproduce)
 
     return parser
 

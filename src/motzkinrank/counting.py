@@ -13,20 +13,18 @@ Rank-1 counts have two independent cross-checks: the closed form
 
     m_n = sum_j Cat(j) * C(n, 2j) * (u*d)^j * l^(n-2j)
 
-and the three-term recurrence
-
-    (n+2) m_n = l(2n+1) m_{n-1} + (4ud - l^2)(n-1) m_{n-2},
-
-both of which depend on u and d only through u*d (see the recoloring
-bijection in ``paths``).
+and the three-term relation ``recurrence.rank1_recurrence``, both of
+which depend on u and d only through u*d (see the recoloring bijection
+in ``paths``).
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import InvalidSpec, NonIntegralStep
+from .errors import InvalidSpec
 from .paths import WeightSpec, capped_dp_rows
+from .recurrence import apply_recurrence, prodinger_recurrence, rank1_recurrence
 
 
 def count_paths_dp(spec: WeightSpec, n: int, start: int = 0, end: int = 0) -> int:
@@ -86,7 +84,8 @@ def rank1_explicit(u: int, l: int, d: int, n: int) -> int:
 
 
 def rank1_recurrence_seq(u: int, l: int, d: int, n_max: int) -> list[int]:
-    """Rank-1 counts m_0..m_n_max via the three-term recurrence.
+    """Rank-1 counts m_0..m_n_max via the three-term relation from the
+    seeds m_0 = 1, m_1 = l.
 
     Every step divides by (n+2); the division is checked to be exact,
     so a wrong seed or a transcription slip fails loudly instead of
@@ -95,17 +94,7 @@ def rank1_recurrence_seq(u: int, l: int, d: int, n_max: int) -> list[int]:
     WeightSpec.rank1(u, l, d)
     if n_max < 0:
         raise InvalidSpec("n_max must be nonnegative")
-    out = [1]
-    if n_max >= 1:
-        out.append(l)
-    q = 4 * u * d - l * l
-    for n in range(2, n_max + 1):
-        num = l * (2 * n + 1) * out[n - 1] + q * (n - 1) * out[n - 2]
-        quot, rem = divmod(num, n + 2)
-        if rem:
-            raise NonIntegralStep(f"three-term recurrence not integral at n={n}")
-        out.append(quot)
-    return out
+    return apply_recurrence(rank1_recurrence(u, l, d), [1, l], n_max + 1)
 
 
 def rank2_prodinger_seq(n_max: int) -> list[int]:
@@ -114,8 +103,6 @@ def rank2_prodinger_seq(n_max: int) -> list[int]:
     Seeds m_0..m_5 come from the DP; the rest is the polynomial-
     coefficient recurrence, with exact division checked at each step.
     """
-    from .recurrence import apply_recurrence, prodinger_recurrence
-
     if n_max < 0:
         raise InvalidSpec("n_max must be nonnegative")
     seeds = count_sequence(WeightSpec.all_ones(2), min(n_max, 5))

@@ -357,9 +357,12 @@ def shift_left_multiply(c: int, polys) -> tuple[tuple[int, ...], ...]:
 
 
 def rank1_recurrence(u: int, l: int, d: int) -> Recurrence:
-    """Forward form of the rank-1 three-term relation:
+    """The rank-1 three-term relation
 
-    -(4ud - l^2)(n+1) m_n - l(2n+5) m_{n+1} + (n+4) m_{n+2} = 0.
+    (n+4) m_{n+2} = l(2n+5) m_{n+1} + (4ud - l^2)(n+1) m_n,
+
+    in the forward form of the module docstring; like the counts, it
+    depends on u and d only through u*d.
     """
     q = 4 * u * d - l * l
     return Recurrence(((-q, -q), (-5 * l, -2 * l), (4, 1)))

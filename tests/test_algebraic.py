@@ -43,6 +43,18 @@ def test_residual_and_verify(motzkin40):
         quad.residual(motzkin40, order=99)
 
 
+def test_verify_needs_the_x_degree_plus_one(motzkin40):
+    # Below order x-degree + 1 the top x-power never enters the residual.
+    quad = mr.reference_equation(1)  # 1 + (x - 1) y + x^2 y^2: x-degree 2
+    with pytest.raises(mr.InsufficientOrder, match="x-degree 2 needs order at least 3"):
+        mr.verify_algebraic_equation(quad, motzkin40, order=2)
+    assert mr.verify_algebraic_equation(quad, motzkin40, order=3)
+    rank2 = mr.generating_series(mr.WeightSpec.all_ones(2), 3)
+    with pytest.raises(mr.InsufficientOrder):
+        mr.verify_algebraic_equation(quad, rank2.truncate(1))
+    assert not mr.verify_algebraic_equation(quad, rank2)
+
+
 def test_multiply_equations():
     a = AlgebraicEquation(((1,), (0, 1)))  # 1 + x y
     b = AlgebraicEquation(((0, 1), (2,)))  # x + 2 y

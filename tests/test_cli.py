@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, reproduce targets."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,46 @@ def test_verify_algeq_reference_and_file(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
+def test_verify_algeq_below_the_x_degree_floor_exits_1(capsys):
+    # The rank-1 quadratic 1 + (x - 1) y + x^2 y^2 has x-degree 2: below
+    # order 3 its x^2 y^2 term is never checked.
+    argv = ("verify-algeq", "--rank", "2", "--reference", "1", "--order")
+    for order in ("1", "2"):
+        code, out, err = run(capsys, *argv, order)
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: InsufficientOrder: an equation of x-degree 2 needs order at least 3"
+        )
+    code, out, _ = run(capsys, *argv, "3")
+    assert code == 1 and json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, option, content, cause",
+    [
+        (("verify-algeq",), "--equation-file", '{"coeffs": 3}',
+         "TypeError: 'int' object is not iterable"),
+        (("verify-algeq",), "--equation-file", '{"y_degree": 2}', "KeyError: 'coeffs'"),
+        (("verify-rec",), "--recurrence-file", '{"coeff_polys": [["1"]]}',
+         "ValueError: a recurrence needs order at least 1"),
+        (("verify-rec",), "--recurrence-file", '{"order": 2,', "JSONDecodeError: Expecting"),
+        (("verify-rec",), "--recurrence-file", None, "FileNotFoundError: [Errno 2]"),
+        (("count", "--n", "3"), "--weights-file", "1;1", "InvalidSpec: weight text must have"),
+    ],
+)
+def test_bad_input_file_exits_2_naming_the_file_and_the_cause(
+    tmp_path, capsys, argv, option, content, cause
+):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, *argv, option, str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(
+        f"motzkinrank {argv[0]}: error: argument {option}: {path}: {cause}"
+    )
+
+
 def test_guess_and_verify_rec(tmp_path, capsys):
     code, out, _ = run(
         capsys, "guess-rec", "--rank", "1", "--terms", "60",
@@ -278,6 +319,55 @@ def test_all_ones_series_output_is_pinned(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (PINNED / name).read_bytes()
+
+
+# Exit code and stdout of a battery of invocations as the CLI gave them
+# when every subcommand declared its own options and read its own files;
+# {inputs} stands for cli_inputs/.  verify-algeq below the x-degree
+# floor is left out: it then printed "verified": true.
+BATTERY = json.loads((PINNED / "cli_battery.json").read_text())
+
+
+@pytest.mark.parametrize("case", BATTERY, ids=[" ".join(c["argv"]) or "-" for c in BATTERY])
+def test_cli_battery_is_pinned(capsys, case):
+    argv = [a.replace("{inputs}", str(PINNED / "cli_inputs")) for a in case["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
+# The option sets each subcommand shares with others.
+SPEC = ("--weights", "--weights-file", "--rank")
+TERMS = ("--terms", "--start", "--end")
+SEARCH = ("--max-order", "--max-degree", "--guard")
+SHARED_OPTIONS = {
+    "count": SPEC + ("--start", "--end"),
+    "seq": SPEC + ("--start", "--end"),
+    "enumerate": SPEC + ("--start", "--end"),
+    "series": SPEC + ("--order",),
+    "guess-algeq": SPEC + ("--order", "--guard"),
+    "verify-algeq": SPEC + ("--order",),
+    "guess-rec": SPEC + TERMS + SEARCH,
+    "verify-rec": SPEC + TERMS,
+    "scan-min": SPEC + TERMS + SEARCH,
+    "biject": (),
+    "reproduce": (),
+}
+
+
+def test_every_subcommand_has_a_row_of_shared_options(capsys):
+    _, _, err = run(capsys, "no-such-command")
+    choices = set(re.findall(r"'([\w-]+)'", err)) - {"no-such-command"}
+    assert choices == set(SHARED_OPTIONS)
+
+
+@pytest.mark.parametrize("command", SHARED_OPTIONS)
+def test_help_lists_the_shared_options(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", out))
+    own = {"--format", "--out", *SHARED_OPTIONS[command]}
+    assert own <= listed
+    assert not (set().union(*SHARED_OPTIONS.values()) - own) & listed
 
 
 def test_series_symmetric_flag_is_gone(capsys):

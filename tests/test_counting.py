@@ -67,6 +67,15 @@ def test_rank1_explicit_and_recurrence_agree_with_dp():
         assert mr.rank1_recurrence_seq(u, l, d, 20) == dp
 
 
+def test_rank1_recurrence_matches_dp_on_every_small_weight():
+    for u in range(4):
+        for l in range(4):
+            for d in range(4):
+                dp = mr.count_sequence(mr.WeightSpec.rank1(u, l, d), 60)
+                assert mr.rank1_recurrence_seq(u, l, d, 60) == dp
+                assert mr.rank1_recurrence_seq(u, l, d, 0) == [1]
+
+
 def test_rank1_explicit_collapse():
     # counts depend on u and d only through the product u*d
     assert [mr.rank1_explicit(2, 1, 3, n) for n in range(15)] == [
