@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import merge
-from itertools import groupby, product
-from math import prod
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -404,6 +404,12 @@ def _recolor_vec_inverse(steps, pairs, d):
     return out
 
 
+# The specs on either side of the recoloring, built and validated once per
+# (u, l, d).  ``typed`` keeps True apart from 1 and 2.0 from 2, so a weight
+# that is no integer still raises each time.
+_rank1_spec = lru_cache(typed=True)(WeightSpec.rank1)
+
+
 def recolor_bijection(path: ColoredPath) -> ColoredPath:
     """Collapse up/down colors of a rank-1 path onto the down steps.
 
@@ -417,7 +423,7 @@ def recolor_bijection(path: ColoredPath) -> ColoredPath:
     matching = find_pairs(path)
     u = path.spec.up[0]
     d = path.spec.down[0]
-    target = WeightSpec((1,), path.spec.level, (u * d,))
+    target = _rank1_spec(1, path.spec.level, u * d)
     return ColoredPath(target, _recolor_vec(path.steps, matching.pairs, d))
 
 
@@ -437,7 +443,7 @@ def recolor_inverse(path: ColoredPath, u: int, d: int) -> ColoredPath:
         )
     matching = find_pairs(path)
     steps = _recolor_vec_inverse(path.steps, matching.pairs, d)
-    return ColoredPath(WeightSpec((u,), spec.level, (d,)), steps)
+    return ColoredPath(_rank1_spec(u, spec.level, d), steps)
 
 
 @dataclass(frozen=True)
@@ -466,53 +472,51 @@ class RecoloringReport:
 def _skeletons(spec, n):
     """Uncolored length-n paths from height 0 to 0, as displacement tuples."""
     for vec in _iter_step_vectors(spec, n, 0, 0, False):
-        yield tuple(dd for dd, _ in vec)
-
-
-def _step_colors(spec, skeleton):
-    """The color range of each step of ``skeleton`` under ``spec``."""
-    return [range(1, spec.weight_of(dd) + 1) for dd in skeleton]
+        yield tuple(map(itemgetter(0), vec))
 
 
 def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     """Exhaustively verify the recoloring on all length-n colored paths.
 
-    Enumerates the full colored path set of (u; l; d), maps every path
-    through the recoloring, and checks that the image lies in the
-    colored path set of (1; l; u*d), is hit injectively and completely,
-    and that the inverse returns the original path.  ``n`` is held to
-    the enumeration length guard of :func:`enumerate_paths` and both
-    path counts to ``max_paths``, before anything is enumerated.
+    Checks that the recoloring maps the colored path set of (u; l; d)
+    into the colored path set of (1; l; u*d), injectively and onto it,
+    and that the inverse returns every path.  ``n`` is held to the
+    enumeration length guard of :func:`enumerate_paths` and both path
+    counts to ``max_paths``, before anything is enumerated.
 
     The sweep is one pass over the uncolored skeletons.  The recoloring
     keeps every displacement, so a colored path is a skeleton plus one
-    color per step, its image has the same skeleton, and its pair
-    matching depends on the skeleton alone.  Both sides enumerate their
-    skeletons in ascending order, and the two streams are merged, so
-    each skeleton is met once with the sides that have it.  Within a
-    skeleton a path is keyed by the integer sum(c_i * m**i) over its
-    step colors c_i < m.  The codomain's keys are one
-    ``itertools.product`` over the color digits of each step.
+    color per step, and its image has the same skeleton.  Both sides
+    enumerate their skeletons in ascending order, and the two streams are
+    merged, so each skeleton is met once with the sides that have it.
+    Paths on different skeletons differ, so the whole image is the
+    disjoint union of the skeletons' images: its size is the sum of
+    theirs, and it lies in the codomain exactly when each skeleton's
+    image lies in the codomain paths of the same skeleton.  A domain
+    skeleton the codomain lacks has no codomain paths, so any image there
+    is reported outside the codomain; a codomain skeleton the domain
+    lacks still counts toward the codomain size.
 
-    The pair map acts on each matched pair alone, so the image of a
-    domain skeleton is built the same way, as a product over its color
-    pairs: up steps add their fixed color 1 to the base key, each level
-    step contributes one digit per color, and each pair's down step one
-    digit per color pair (a, b), its collapsed color under
-    :func:`_pair_color`.  The domain size is the product of the digit
-    counts.  Round-trip is checked once per color pair, by splitting
-    each collapsed color back with :func:`_split_color`; every skeleton
-    with a pair meets every (a, b), so this equals checking each path.
+    On one skeleton, the domain paths, their images and the codomain
+    paths are each a product of one color set per step.  All three take
+    1..l on a level step.  The image and the codomain take {1} on an up
+    step, and the codomain takes 1..u*d on a down step.  On a domain
+    skeleton every down step closes exactly one pair (see
+    :func:`find_pairs`), and the pair map acts on each pair alone, so the
+    domain has u*d colorings per pair, and the image takes the collapsed
+    colors :func:`_pair_color` (a, b) on each down step.  A step type of
+    weight 0 never occurs on a skeleton, so every set is nonempty.  A
+    product of nonempty sets has the product of their sizes, and it lies
+    in another product exactly when each set lies in the other's set at
+    the same step.  So each skeleton adds a product of powers to each
+    size, and its image lies in the codomain exactly when the collapsed
+    colors lie in 1..u*d, which is checked once.
 
-    Only one skeleton's keys are held at a time.  A path and its image
-    share a skeleton, and paths on different skeletons differ, so the
-    whole image is the disjoint union of the skeletons' image sets: its
-    size is the sum of theirs, and it lies in the codomain exactly when
-    each skeleton's image set lies in the codomain set of the same
-    skeleton.  A domain skeleton the codomain lacks has an empty
-    codomain set, so any image there is reported outside the codomain;
-    a codomain skeleton the domain lacks still counts toward the
-    codomain size.
+    The inverse also splits each pair alone, so a path comes back
+    exactly when each of its color pairs does.  Round-trip is therefore
+    checked once per color pair, by splitting each collapsed color back
+    with :func:`_split_color`: every skeleton with a pair meets every
+    (a, b) on it, so this equals checking each path.
     """
     src = WeightSpec((u,), level, (d,))
     tgt = WeightSpec((1,), level, (u * d,))
@@ -529,10 +533,8 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     pair_map = {
         (a, b): _pair_color(a, b, d) for a in range(1, u + 1) for b in range(1, d + 1)
     }
-    collapsed = list(pair_map.values())
-    # Key digits must stay below m even for colors a faulty pair map yields.
-    m = max(level, u * d, *collapsed, 1) + 1
-    place = [m**i for i in range(n)]
+    collapsed = set(pair_map.values())
+    collapsed_fit = collapsed <= set(range(1, u * d + 1))
 
     domain_size = codomain_size = image_size = 0
     image_in_codomain = True
@@ -543,23 +545,17 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     )
     for skel, group in groupby(skeletons, key=itemgetter(0)):
         sides = {side for _, side in group}
-        codomain = set()
+        level_colorings = level ** skel.count(0)
+        downs = skel.count(-1)
         if "codomain" in sides:
-            digits = [[c * p for c in colors] for colors, p in zip(_step_colors(tgt, skel), place)]
-            codomain = set(map(sum, product(*digits)))
-            codomain_size += len(codomain)
+            codomain_size += level_colorings * (u * d) ** downs
         if "domain" in sides:
-            pairs = _match_pairs(skel)
-            paired = paired or bool(pairs)
-            base = sum(place[iu] for iu, _ in pairs)
-            digits = [[c * p for c in range(1, level + 1)] for dd, p in zip(skel, place) if dd == 0]
-            digits += [[c * place[idn] for c in collapsed] for _, idn in pairs]
-            domain_size += prod(map(len, digits))
-            image = set(map(sum, product([base], *digits)))
-            image_size += len(image)
-            image_in_codomain = image_in_codomain and image <= codomain
-    # A skeleton with a pair meets every (a, b) on it, so checking the table
-    # once equals checking every path, as long as some skeleton has a pair.
+            paired = paired or downs > 0
+            domain_size += level_colorings * (u * d) ** downs
+            image_size += level_colorings * len(collapsed) ** downs
+            image_in_codomain = (
+                image_in_codomain and "codomain" in sides and (collapsed_fit or not downs)
+            )
     roundtrip_ok = not paired or all(
         _split_color(c, d) == ab for ab, c in pair_map.items()
     )

@@ -1,6 +1,8 @@
 """Path model, enumeration guards, and the recoloring bijection."""
 
+import dataclasses
 import hashlib
+import json
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -234,6 +236,11 @@ def test_recolor_errors():
     collapsed = mr.ColoredPath.from_text(mr.WeightSpec.rank1(1, 1, 6), "+1:1,-1:6")
     with pytest.raises(mr.InvalidSpec):
         mr.recolor_inverse(collapsed, 2, 2)  # u*d does not match the spec
+    # The target spec is built once per (u, l, d), yet True is not taken
+    # for the cached weight 1.
+    assert mr.recolor_inverse(collapsed, 1, 6).spec == mr.WeightSpec.rank1(1, 1, 6)
+    with pytest.raises(mr.InvalidSpec, match="integers, got True"):
+        mr.recolor_inverse(collapsed, True, 6)
 
 
 def test_recoloring_report_small():
@@ -265,8 +272,8 @@ def test_recoloring_report_negative_length():
 
 
 def test_recoloring_report_holds_one_skeleton_at_a_time():
-    # (2;1;3) at n = 8 has 53,593 colored paths. Keying the whole image and
-    # codomain at once takes about 7 MiB; the streamed sweep peaks under 0.5 MiB.
+    # (2;1;3) at n = 8 has 53,593 colored paths; one key per path would
+    # take about 7 MiB. The sweep holds no coloring and peaks near 80 KiB.
     tracemalloc.start()
     try:
         report = mr.recoloring_report(2, 1, 3, 8)
@@ -296,6 +303,21 @@ def _report_by_paths(u, level, d, n):
     )
 
 
+# Faulty pair or split maps, as (name in ``paths``, replacement).
+_split = paths._split_color
+FAULTY_MAPS = {
+    # Forgetting the up color merges the u colorings of each pair.
+    "non_injective_pair_map": ("_pair_color", lambda a, b, d: b),
+    # Splitting every down color back to up color 1 undoes no pair with a > 1.
+    "broken_inverse": ("_split_color", lambda c, d: (1, c)),
+    # Shifting every collapsed color up by one sends the pair (u, d) to
+    # color u*d + 1, which no codomain path carries.
+    "image_outside_codomain": ("_pair_color", lambda a, b, d: (a - 1) * d + b + 1),
+    # Only the color pair collapsed to 6 splits wrongly.
+    "one_broken_color_pair": ("_split_color", lambda c, d: (1, c) if c == 6 else _split(c, d)),
+}
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     u=st.integers(0, 4),
@@ -307,9 +329,34 @@ def test_recoloring_report_matches_path_by_path_route(u, level, d, n):
     assert mr.recoloring_report(u, level, d, n) == _report_by_paths(u, level, d, n)
 
 
+# At n = 1 no path has a pair, so no faulty pair map can show.
+@pytest.mark.parametrize("case", [(2, 1, 3, 6), (3, 0, 2, 6), (1, 2, 4, 5), (2, 1, 3, 1)])
+@pytest.mark.parametrize("faulty", sorted(FAULTY_MAPS))
+def test_recoloring_report_matches_path_by_path_route_under_faulty_maps(monkeypatch, faulty, case):
+    monkeypatch.setattr(paths, *FAULTY_MAPS[faulty])
+    assert mr.recoloring_report(*case) == _report_by_paths(*case)
+
+
+# Reports as the key-set sweep gave them: the C6 grid (u*d <= 9, level
+# 0..2, n <= 8), the seven (u, l, d, n) of the bijection workload, and
+# (2;1;3) at n = 6 under each faulty map.
+PINNED_REPORTS = Path(__file__).resolve().parent / "pinned" / "recoloring_reports.json"
+
+
+def test_recoloring_reports_are_pinned(monkeypatch):
+    pinned = json.loads(PINNED_REPORTS.read_text())
+    assert len(pinned["reports"]) == 628 and set(pinned["faulty"]) == set(FAULTY_MAPS)
+    for want in pinned["reports"]:
+        report = mr.recoloring_report(want["u"], want["level"], want["d"], want["n"])
+        assert dataclasses.asdict(report) == want
+    for faulty, want in pinned["faulty"].items():
+        with monkeypatch.context() as patch:
+            patch.setattr(paths, *FAULTY_MAPS[faulty])
+            assert dataclasses.asdict(mr.recoloring_report(2, 1, 3, 6)) == want
+
+
 def test_recoloring_report_catches_non_injective_pair_map(monkeypatch):
-    # Forgetting the up color merges the u colorings of each pair.
-    monkeypatch.setattr(paths, "_pair_color", lambda a, b, d: b)
+    monkeypatch.setattr(paths, *FAULTY_MAPS["non_injective_pair_map"])
     report = mr.recoloring_report(2, 1, 3, 6)
     assert report.image_size < report.domain_size
     assert not report.is_bijection
@@ -319,8 +366,7 @@ def test_recoloring_report_catches_non_injective_pair_map(monkeypatch):
 
 
 def test_recoloring_report_catches_broken_inverse(monkeypatch):
-    # Splitting every down color back to up color 1 undoes no pair with a > 1.
-    monkeypatch.setattr(paths, "_split_color", lambda c, d: (1, c))
+    monkeypatch.setattr(paths, *FAULTY_MAPS["broken_inverse"])
     report = mr.recoloring_report(2, 1, 3, 6)
     assert report.image_in_codomain
     assert report.domain_size == report.image_size == report.codomain_size
@@ -331,9 +377,7 @@ def test_recoloring_report_catches_broken_inverse(monkeypatch):
 
 
 def test_recoloring_report_catches_image_outside_codomain(monkeypatch):
-    # Shifting every collapsed color up by one sends the pair (u, d) to
-    # color u*d + 1, which no codomain path carries.
-    monkeypatch.setattr(paths, "_pair_color", lambda a, b, d: (a - 1) * d + b + 1)
+    monkeypatch.setattr(paths, *FAULTY_MAPS["image_outside_codomain"])
     report = mr.recoloring_report(2, 1, 3, 6)
     assert report.domain_size == report.image_size == report.codomain_size
     assert not report.image_in_codomain
@@ -343,10 +387,7 @@ def test_recoloring_report_catches_image_outside_codomain(monkeypatch):
 def test_recoloring_report_catches_one_broken_color_pair(monkeypatch):
     # Only the last color pair (u, d), collapsed to u*d = 6, splits wrongly;
     # the round-trip must reach it on a skeleton after the first.
-    split = paths._split_color
-    monkeypatch.setattr(
-        paths, "_split_color", lambda c, d: (1, c) if c == 6 else split(c, d)
-    )
+    monkeypatch.setattr(paths, *FAULTY_MAPS["one_broken_color_pair"])
     report = mr.recoloring_report(2, 1, 3, 6)
     assert report.image_in_codomain
     assert report.domain_size == report.image_size == report.codomain_size
