@@ -32,7 +32,7 @@ from .algebraic import (
     verify_algebraic_equation,
 )
 from .errors import InvalidSpec, MotzkinError
-from .paths import WeightSpec, enumerate_paths, recoloring_report
+from .paths import DEFAULT_MAX_LENGTH, WeightSpec, enumerate_paths, recoloring_report
 
 SERIES_ORDER_DEFAULT = 64
 TERMS_DEFAULT = 120
@@ -567,7 +567,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the output-size guard (default 10^6 or $MOTZKIN_MAX_ENUM)",
     )
     sub.add_argument(
-        "--max-length", type=_nonneg_int, default=12, help="length guard (default 12)"
+        "--max-length",
+        type=_nonneg_int,
+        default=DEFAULT_MAX_LENGTH,
+        help=f"length guard (default {DEFAULT_MAX_LENGTH})",
     )
 
     sub = new_sub(

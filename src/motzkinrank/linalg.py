@@ -17,7 +17,9 @@ prefix width from one elimination:
   rows, which runs only when a lift, the Hadamard bound or the exact
   route first needs them.
 * Full rank.  w pivots below column w certify that the prefix has no
-  nullvector: reduction mod p can only lower the rank.
+  nullvector: reduction mod p can only lower the rank.  Any subset of
+  the rows certifies it too, since more rows cannot raise the nullity;
+  the recurrence guesser settles most orders on a head of their rows.
 * Otherwise every canonical nullvector of the prefix is lifted
   p-adically (Dixon, Numer. Math. 1982) from the same factorization.
   The canonical vector of free column f has 1 at f and 0 at the other

@@ -30,6 +30,18 @@ has dimension 2 or more, the two layouts can pick different canonical
 vectors, and the order-major ones are the cell's answer.
 ``guess_recurrence`` stops each order's degrees at the best verified
 cell found so far.
+
+Most orders have no relation at all, and a few rows more than columns
+already show it.  So before an order's full system, both scans
+eliminate its head: the first w + 8 rows, w = (k+1)(top+1) its widest
+cell, top its largest degree.  If the head has full column rank mod p,
+so has the whole integer system, of which it is a row subset: no cell
+of the order has a relation, and the order is skipped.  Otherwise the
+full system is eliminated and read exactly as above.  The 8 spare rows
+are there because the first rows are weak: row 0 is zero in every n^e
+block with e >= 1, and row 1 repeats its window in every block.  The
+head is tried only when it is at most half of the order's rows, which
+bounds what an order with a relation spends on a head it cannot settle.
 """
 
 from __future__ import annotations
@@ -232,6 +244,21 @@ def _order_system(terms, k, max_degree, guard):
     )
 
 
+# Rows a head takes past its column count (see the module docstring).
+_HEAD_SPARE = 8
+
+
+def _nonempty_order_system(terms, k, top, guard):
+    """Order k's system over degrees 0..top, or None when its head
+    certifies that no cell of the order has a relation."""
+    width = (k + 1) * (top + 1)
+    head = width + _HEAD_SPARE
+    if 2 * head <= len(terms) - k - guard:
+        if _order_system(terms[: head + k + guard], k, top, guard).full_rank(width):
+            return None
+    return _order_system(terms, k, top, guard)
+
+
 def _cell_relation(terms, system, k, d, max_candidates=8):
     """Verified relation of order <= k and degree <= d, or None.
 
@@ -279,7 +306,9 @@ def guess_recurrence(terms, max_order: int, max_degree: int, guard: int = 8):
         top = min(max_degree, bound - k - 1)
         if top < 0:
             break
-        system = _order_system(terms, k, top, guard)
+        system = _nonempty_order_system(terms, k, top, guard)
+        if system is None:
+            continue
         for d in range(top + 1):
             rec = _cell_relation(terms, system, k, d)
             if rec is not None:
@@ -326,12 +355,13 @@ def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
     _check_terms(terms, max_order, max_degree, guard)
     hits = []
     for k in range(1, max_order + 1):
-        system = _order_system(terms, k, max_degree, guard)
-        hits += [
-            (k, d)
-            for d in range(max_degree + 1)
-            if _cell_relation(terms, system, k, d) is not None
-        ]
+        system = _nonempty_order_system(terms, k, max_degree, guard)
+        if system is not None:
+            hits += [
+                (k, d)
+                for d in range(max_degree + 1)
+                if _cell_relation(terms, system, k, d) is not None
+            ]
     return MinimalityReport(
         terms_used=len(terms),
         max_order=max_order,

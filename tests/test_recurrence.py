@@ -262,15 +262,22 @@ def _recurrence_cases(draw):
     spec = draw(_rank_le_2_specs())
     start = draw(st.integers(0, spec.rank))
     end = draw(st.integers(0, spec.rank))
-    n_terms = draw(st.integers(40, 90))
-    return spec, start, end, n_terms, draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    terms = mr.count_sequence(spec, draw(st.integers(39, 89)), start, end)
+    return terms, draw(st.integers(1, 6)), draw(st.integers(0, 5))
+
+
+# 2^n up to n = 29, then 3^n: every order's head of rows has the relation
+# m[n+1] = 2 m[n], which the later terms break, so the head is rank
+# deficient and the whole system is eliminated; only (2, 2) has a
+# relation, (n - 28)(n - 29) (m[n+2] - 5 m[n+1] + 6 m[n]) = 0.
+_TWO_THEN_THREE = [2**n for n in range(30)] + [3**n for n in range(30, 60)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(_recurrence_cases())
+@example((_TWO_THEN_THREE, 2, 2))
 def test_order_major_scan_matches_cell_by_cell(case):
-    spec, start, end, n_terms, max_order, max_degree = case
-    terms = mr.count_sequence(spec, n_terms - 1, start, end)
+    terms, max_order, max_degree = case
     try:
         report = mr.minimality_scan(terms, max_order, max_degree)
     except mr.InsufficientTerms:
@@ -345,6 +352,24 @@ def test_integer_systems_are_built_only_for_orders_that_lift(monkeypatch):
     terms = mr.count_sequence(mr.WeightSpec.parse("2,1;1;3,1"), 119)
     assert mr.guess_recurrence(terms, 10, 7).order == 10
     assert built == [10]
+
+
+def test_orders_without_a_relation_are_settled_on_a_head_of_rows(monkeypatch):
+    # (rows, columns) of each elimination: orders 1-4, and 6-8 under the
+    # bound the (5, 4) relation sets, are certified empty on a head of
+    # their columns plus 8 rows; order 5's head would exceed half its
+    # 107 rows, so only order 5 is eliminated in full.
+    calls = []
+    echelon = backend.packed_echelon
+    monkeypatch.setattr(
+        backend,
+        "packed_echelon",
+        lambda packed, rows, p: calls.append((len(packed), len(rows[0]))) or echelon(packed, rows, p),
+    )
+    terms = mr.count_sequence(mr.WeightSpec.parse("1,2;1;1,2"), 119)
+    rec = mr.guess_recurrence(terms, 10, 7)
+    assert (rec.order, rec.degree) == (5, 4)
+    assert calls == [(24, 16), (32, 24), (40, 32), (48, 40), (107, 48), (29, 21), (24, 16), (17, 9)]
 
 
 @settings(max_examples=20, deadline=None)
