@@ -337,8 +337,8 @@ def rank2_general_equation_check(u1, u2, l, d1, d2, order: int = 40) -> bool:
     and checks it against the fixed-point solution for the same spec,
     truncated at ``order``.
     """
+    from .counting import WeightSpec
     from .genfunc import generating_series
-    from .paths import WeightSpec
 
     if order < 30:
         raise InsufficientOrder("the sextic check needs order >= 30")

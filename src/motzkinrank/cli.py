@@ -31,8 +31,9 @@ from .algebraic import (
     reference_equations,
     verify_algebraic_equation,
 )
+from .counting import WeightSpec
 from .errors import InvalidSpec, MotzkinError
-from .paths import DEFAULT_MAX_LENGTH, WeightSpec, enumerate_paths, recoloring_report
+from .paths import DEFAULT_MAX_LENGTH, enumerate_paths, recoloring_report
 
 SERIES_ORDER_DEFAULT = 64
 TERMS_DEFAULT = 120

@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backend
+from .counting import WeightSpec
 from .errors import SelfCheckFailed, SymmetryRequiresAllOnes
-from .paths import WeightSpec
 from .series import CoeffSeries, catalan_series
 
 Label = tuple[int, int]

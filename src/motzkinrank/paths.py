@@ -14,6 +14,11 @@ first down step to its right at the same height) can be collapsed onto
 the down step alone, which is why rank-1 counts depend on u and d only
 through the product u*d.  ``recolor_bijection`` implements that map and
 ``recoloring_report`` checks it exhaustively on small path sets.
+
+The weight spec :class:`WeightSpec` and the capped counting DP
+``capped_dp_rows`` live in ``counting``, which counts without loading
+this module; the enumeration guards here import both from there, and
+both stay importable from ``paths``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import backend
+from .counting import WeightSpec, capped_dp_rows
 from .errors import (
     GuardExceeded,
     InvalidPath,
@@ -55,93 +60,6 @@ def _enum_limit(explicit):
 def _guard_length(n, max_length):
     if n > max_length:
         raise GuardExceeded(f"length {n} exceeds the enumeration length guard {max_length}")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Step weights (u_1..u_r; l; d_1..d_r) for rank-r colored paths."""
-
-    up: tuple[int, ...]
-    level: int
-    down: tuple[int, ...]
-
-    def __post_init__(self):
-        up = tuple(self.up)
-        down = tuple(self.down)
-        for v in (*up, self.level, *down):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidSpec(f"weights must be integers, got {v!r}")
-            if v < 0:
-                raise InvalidSpec(f"weights must be nonnegative, got {v}")
-        if len(up) < 1:
-            raise InvalidSpec("rank must be at least 1")
-        if len(up) != len(down):
-            raise InvalidSpec(
-                f"need as many down-weights as up-weights, got {len(up)} up and {len(down)} down"
-            )
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-
-    @property
-    def rank(self) -> int:
-        return len(self.up)
-
-    @property
-    def is_all_ones(self) -> bool:
-        return self.level == 1 and set(self.up) == {1} and set(self.down) == {1}
-
-    @classmethod
-    def all_ones(cls, rank: int) -> "WeightSpec":
-        if not isinstance(rank, int) or rank < 1:
-            raise InvalidSpec(f"rank must be a positive integer, got {rank!r}")
-        return cls((1,) * rank, 1, (1,) * rank)
-
-    @classmethod
-    def rank1(cls, u: int, level: int, d: int) -> "WeightSpec":
-        return cls((u,), level, (d,))
-
-    @classmethod
-    def parse(cls, text: str) -> "WeightSpec":
-        """Parse the text form ``u_1,..,u_r;l;d_1,..,d_r``."""
-        parts = text.split(";")
-        if len(parts) != 3:
-            raise InvalidSpec(
-                f"weight text must have three ';'-separated groups, got {text!r}"
-            )
-
-        def group(chunk):
-            items = [s.strip() for s in chunk.split(",")]
-            try:
-                return tuple(int(s) for s in items)
-            except ValueError:
-                raise InvalidSpec(f"bad weight group {chunk!r} in {text!r}") from None
-
-        up, lev, down = (group(p) for p in parts)
-        if len(lev) != 1:
-            raise InvalidSpec(f"exactly one level weight expected in {text!r}")
-        return cls(up, lev[0], down)
-
-    def format(self) -> str:
-        """Inverse of :meth:`parse`."""
-        return "{};{};{}".format(
-            ",".join(map(str, self.up)), self.level, ",".join(map(str, self.down))
-        )
-
-    def step_types(self) -> tuple[tuple[int, int], ...]:
-        """All (displacement, weight) pairs, ascending displacement."""
-        r = self.rank
-        out = [(-j, self.down[j - 1]) for j in range(r, 0, -1)]
-        out.append((0, self.level))
-        out.extend((j, self.up[j - 1]) for j in range(1, r + 1))
-        return tuple(out)
-
-    def weight_of(self, displacement: int) -> int:
-        if displacement == 0:
-            return self.level
-        j = abs(displacement)
-        if j > self.rank:
-            raise InvalidPath(f"displacement {displacement} outside rank {self.rank}")
-        return self.up[j - 1] if displacement > 0 else self.down[j - 1]
 
 
 class Step(NamedTuple):
@@ -233,24 +151,6 @@ class ColoredPath:
     @classmethod
     def from_step_pairs(cls, spec, pairs, start_height=0) -> "ColoredPath":
         return cls(spec, tuple(map(Step._make, pairs)), start_height)
-
-
-def capped_dp_rows(spec, n, start, end, colored=True):
-    """Rows 0..n of the capped counting DP from height ``start``.
-
-    Row i is capped at min(start + r*i, end + r*(n - i)), the highest a
-    length-n path from ``start`` to ``end`` can be after i steps, and is
-    returned cut at heights <= min(start + r*n, end).  Entry h of row i
-    is the number of colored length-i paths from ``start`` to h, or of
-    uncolored ones with ``colored`` unset.  ``counting`` and the
-    enumeration guards below share this one DP.
-    """
-    r = spec.rank
-    types = [(d, w if colored else 1) for d, w in spec.step_types() if w > 0]
-    caps = [min(start + r * i, end + r * (n - i)) for i in range(n + 1)]
-    return backend.dp_rows(
-        [d for d, _ in types], [w for _, w in types], n, start, caps
-    )
 
 
 def _predicted_count(spec, n, start, end, colored):

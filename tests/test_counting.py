@@ -60,6 +60,25 @@ def test_argument_validation():
         mr.rank2_prodinger_seq(-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: mr.count_sequence(spec, 3, True, 0),
+        lambda spec: mr.count_sequence(spec, 3, 0, False),
+        lambda spec: mr.count_sequence(spec, 3.0),
+        lambda spec: mr.count_paths_dp(spec, 2.0),
+        lambda spec: mr.count_paths_dp(spec, True),
+        lambda spec: mr.count_paths_dp(spec, 2, start="1"),
+        lambda spec: mr.CountTable(spec, 4, start_max=True),
+        lambda spec: mr.CountTable(spec, 4.0),
+    ],
+)
+def test_sizes_must_be_ints_not_bools(call):
+    # A bool once counted as height 1 and a float escaped from range().
+    with pytest.raises(mr.InvalidSpec, match="must be integers"):
+        call(mr.WeightSpec.all_ones(1))
+
+
 def test_rank1_explicit_and_recurrence_agree_with_dp():
     for u, l, d in ((1, 1, 1), (2, 1, 3), (1, 0, 1), (3, 2, 1), (2, 0, 2)):
         dp = mr.count_sequence(mr.WeightSpec.rank1(u, l, d), 20)
