@@ -76,7 +76,6 @@ _EXPORTS = {
     ),
     "paths": (
         "ColoredPath",
-        "PairMatching",
         "RecoloringReport",
         "Step",
         "enumerate_paths",

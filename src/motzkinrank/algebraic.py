@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import backend, intpoly, linalg, published
-from .errors import InsufficientOrder, InvalidSpec, UnsupportedRank
+from .counting import WeightSpec
+from .errors import InsufficientOrder, UnsupportedRank, check_sizes
 from .series import CoeffSeries
 
 
@@ -146,6 +147,7 @@ def verify_algebraic_equation(
     equation's top x-power never enters the check.
     """
     n = series.order if order is None else order
+    check_sizes("order", n, least=1)
     floor = max(len(p) for p in eq.coeffs)  # x-degree + 1
     if n < floor:
         raise InsufficientOrder(
@@ -196,10 +198,8 @@ def guess_algebraic_equation(
     ansatz; degrees whose ansatz would exceed the available order are
     skipped (the report's bounds say what was actually searched).
     """
-    if max_y_degree < 1:
-        raise ValueError("max_y_degree must be at least 1")
-    if guard < 0:
-        raise ValueError("guard must be nonnegative")
+    check_sizes("max_y_degree", max_y_degree, least=1)
+    check_sizes("guard", guard)
     order = series.order
 
     def shape_bounds(dd):
@@ -313,9 +313,7 @@ def rank2_general_sextic(u1, u2, l, d1, d2) -> AlgebraicEquation:
     quadratic (with u1 d1 for ud) remains; at all-ones weights it
     collapses to the embedded rank-2 sextic.
     """
-    for v in (u1, u2, l, d1, d2):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise InvalidSpec(f"weights must be nonnegative integers, got {v!r}")
+    WeightSpec((u1, u2), l, (d1, d2))  # validate the weights
     e = u2 * d2 - u1 * d1
     s = u2 * d2
     coeffs = (
@@ -337,7 +335,6 @@ def rank2_general_equation_check(u1, u2, l, d1, d2, order: int = 40) -> bool:
     and checks it against the fixed-point solution for the same spec,
     truncated at ``order``.
     """
-    from .counting import WeightSpec
     from .genfunc import generating_series
 
     if order < 30:

@@ -72,7 +72,7 @@ def _file_arg(parse):
         try:
             with open(path, encoding="utf-8") as fh:
                 return parse(fh)
-        except (OSError, KeyError, TypeError, ValueError, InvalidSpec) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise argparse.ArgumentTypeError(f"{path}: {type(exc).__name__}: {exc}") from None
 
     return read

@@ -5,7 +5,8 @@ This module owns the weight spec :class:`WeightSpec` and the capped DP
 and ``genfunc``, ``algebraic`` and the CLI take the spec from here.  It
 needs only ``backend`` and ``errors``, so counting loads no solver or
 guesser: the two sequences built from a recurrence import ``recurrence``
-when they are called.
+when they are called.  Weights and sizes are checked by
+``errors.check_sizes``, like every size in the library.
 
 The workhorse is a forward DP over heights with exact big integers.  A
 path of length n from height s to height t can never climb above
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import backend
-from .errors import InvalidPath, InvalidSpec
+from .errors import InvalidPath, InvalidSpec, check_sizes
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,8 @@ class WeightSpec:
     def __post_init__(self):
         up = tuple(self.up)
         down = tuple(self.down)
-        for v in (*up, self.level, *down):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidSpec(f"weights must be integers, got {v!r}")
-            if v < 0:
-                raise InvalidSpec(f"weights must be nonnegative, got {v}")
-        if len(up) < 1:
+        check_sizes("weights", *up, self.level, *down)
+        if not up:
             raise InvalidSpec("rank must be at least 1")
         if len(up) != len(down):
             raise InvalidSpec(
@@ -69,8 +66,7 @@ class WeightSpec:
 
     @classmethod
     def all_ones(cls, rank: int) -> "WeightSpec":
-        if not isinstance(rank, int) or rank < 1:
-            raise InvalidSpec(f"rank must be a positive integer, got {rank!r}")
+        check_sizes("rank", rank, least=1)
         return cls((1,) * rank, 1, (1,) * rank)
 
     @classmethod
@@ -140,19 +136,9 @@ def capped_dp_rows(spec, n, start, end, colored=True):
     )
 
 
-def _check_sizes(names, *values):
-    """Raise ``InvalidSpec`` unless every value is a nonnegative int; a
-    bool is refused like any other non-int, as in :class:`WeightSpec`."""
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InvalidSpec(f"{names} must be integers, got {v!r}")
-    if min(values) < 0:
-        raise InvalidSpec(f"{names} must be nonnegative")
-
-
 def count_paths_dp(spec: WeightSpec, n: int, start: int = 0, end: int = 0) -> int:
     """Number of colored length-n paths from ``start`` to ``end``."""
-    _check_sizes("n, start, end", n, start, end)
+    check_sizes("n, start, end", n, start, end)
     last = capped_dp_rows(spec, n, start, end)[n]
     return last[end] if end < len(last) else 0
 
@@ -164,7 +150,7 @@ def count_sequence(spec: WeightSpec, n_max: int, start: int = 0, end: int = 0) -
     and loosening a cap never changes a count, so row n of the same run
     is already the length-n answer.
     """
-    _check_sizes("n_max, start, end", n_max, start, end)
+    check_sizes("n_max, start, end", n_max, start, end)
     rows = capped_dp_rows(spec, n_max, start, end)
     return [row[end] if end < len(row) else 0 for row in rows]
 
@@ -173,7 +159,7 @@ class CountTable:
     """Counts for all (n, s, t) with n <= n_max, s <= start_max, t <= end_max."""
 
     def __init__(self, spec, n_max, start_max=0, end_max=0):
-        _check_sizes("n_max, start_max, end_max", n_max, start_max, end_max)
+        check_sizes("n_max, start_max, end_max", n_max, start_max, end_max)
         self.spec = spec
         self.n_max = n_max
         self.start_max = start_max
@@ -193,8 +179,7 @@ class CountTable:
 def rank1_explicit(u: int, l: int, d: int, n: int) -> int:
     """Closed-form rank-1 count; depends on u, d only through u*d."""
     WeightSpec.rank1(u, l, d)  # validate the weights
-    if n < 0:
-        raise InvalidSpec("n must be nonnegative")
+    check_sizes("n", n)
     ud = u * d
     total = 0
     for j in range(n // 2 + 1):
@@ -214,8 +199,7 @@ def rank1_recurrence_seq(u: int, l: int, d: int, n_max: int) -> list[int]:
     from .recurrence import apply_recurrence, rank1_recurrence
 
     WeightSpec.rank1(u, l, d)
-    if n_max < 0:
-        raise InvalidSpec("n_max must be nonnegative")
+    check_sizes("n_max", n_max)
     return apply_recurrence(rank1_recurrence(u, l, d), [1, l], n_max + 1)
 
 
@@ -227,8 +211,7 @@ def rank2_prodinger_seq(n_max: int) -> list[int]:
     """
     from .recurrence import apply_recurrence, prodinger_recurrence
 
-    if n_max < 0:
-        raise InvalidSpec("n_max must be nonnegative")
+    check_sizes("n_max", n_max)
     seeds = count_sequence(WeightSpec.all_ones(2), min(n_max, 5))
     if n_max <= 5:
         return seeds

@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one size check.
 
 Everything raised on a domain-level misuse derives from MotzkinError so the
 command line driver can map library failures to a single exit code.
+Every weight and size the library takes (a rank, a length, endpoints, a
+series order, a recurrence's order and degree bounds, a guard or a
+count) passes through :func:`check_sizes`.
 """
 
 
@@ -9,8 +12,25 @@ class MotzkinError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidSpec(MotzkinError):
-    """Malformed weight specification (bad rank, lengths, or weights)."""
+class InvalidSpec(MotzkinError, ValueError):
+    """Malformed weight specification or size: a weight, rank, length,
+    order, bound or count that is not an int, or is out of range.
+
+    It is a ValueError as well, so callers catching that for a bad
+    order or bound still do.
+    """
+
+
+def check_sizes(names, *values, least=0):
+    """Raise ``InvalidSpec`` unless every value is an int of at least
+    ``least``; a bool is refused like any other non-int."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InvalidSpec(f"{names} must be integers, got {v!r}")
+    low = min(values)
+    if low < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise InvalidSpec(f"{names} must be {bound}, got {low}")
 
 
 class InvalidPath(MotzkinError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import backend
 from .counting import WeightSpec
-from .errors import SelfCheckFailed, SymmetryRequiresAllOnes
+from .errors import SelfCheckFailed, SymmetryRequiresAllOnes, check_sizes
 from .series import CoeffSeries, catalan_series
 
 Label = tuple[int, int]
@@ -221,8 +221,7 @@ def solve_series(spec: WeightSpec, order: int, symmetric: bool = False) -> Serie
     when a full-order sweep reproduces its input (see module docstring
     for why a fixed point is necessarily the solution).
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    check_sizes("order", order, least=1)
     system = build_system(spec, symmetric=symmetric)
     plans = [(lhs, _evaluation_plan(terms)) for lhs, terms in system.equations]
     values = {lab: [0] for lab in system.unknowns}
@@ -280,6 +279,7 @@ def rank1_closed_form_series(u: int, l: int, d: int, order: int) -> CoeffSeries:
     fixed-point solver.
     """
     WeightSpec.rank1(u, l, d)  # validate
+    check_sizes("order", order, least=1)
     rec = CoeffSeries([1, -l], order=max(order, 2)).reciprocal().truncate(order)
     inner = (rec * rec).shift(2) * (u * d)
     return catalan_series(order).compose(inner) * rec

@@ -17,8 +17,10 @@ through the product u*d.  ``recolor_bijection`` implements that map and
 
 The weight spec :class:`WeightSpec` and the capped counting DP
 ``capped_dp_rows`` live in ``counting``, which counts without loading
-this module; the enumeration guards here import both from there, and
-both stay importable from ``paths``.
+this module; both stay importable from ``paths``.  One guard,
+``_guard``, checks the sizes through ``errors.check_sizes`` and holds
+both ``enumerate_paths`` and ``recoloring_report`` to the length and
+path-count guards, the latter predicted by that DP.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
     InvalidSpec,
     NotRankOne,
     UnbalancedPath,
+    check_sizes,
 )
 
 DEFAULT_MAX_ENUM = 10**6
@@ -45,21 +48,28 @@ DEFAULT_MAX_LENGTH = 12
 ENUM_GUARD_ENV = "MOTZKIN_MAX_ENUM"
 
 
-def _enum_limit(explicit):
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENUM_GUARD_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidSpec(f"{ENUM_GUARD_ENV} must be an integer, got {raw!r}") from None
-
-
-def _guard_length(n, max_length):
+def _guard(specs, n, start, end, colored, max_paths, max_length):
+    """Refuse an enumeration of length-n paths from ``start`` to ``end``
+    before it starts: ``n`` must not exceed ``max_length``, and no spec's
+    DP-predicted path count may exceed ``max_paths`` (default 10**6, or
+    the MOTZKIN_MAX_ENUM environment variable)."""
+    check_sizes("n, start, end", n, start, end)
+    check_sizes("max_length", max_length)
     if n > max_length:
         raise GuardExceeded(f"length {n} exceeds the enumeration length guard {max_length}")
+    if max_paths is None:
+        raw = os.environ.get(ENUM_GUARD_ENV, DEFAULT_MAX_ENUM)
+        try:
+            max_paths = int(raw)
+        except ValueError:
+            raise InvalidSpec(f"{ENUM_GUARD_ENV} must be an integer, got {raw!r}") from None
+    else:
+        check_sizes("max_paths", max_paths)
+    for spec in specs:
+        last = capped_dp_rows(spec, n, start, end, colored)[n]
+        predicted = last[end] if end < len(last) else 0
+        if predicted > max_paths:
+            raise GuardExceeded(f"predicted {predicted} paths exceed the guard {max_paths}")
 
 
 class Step(NamedTuple):
@@ -144,18 +154,9 @@ class ColoredPath:
                     raise InvalidPath(f"step {i}: bad step token {tok!r}") from None
         return cls(spec, tuple(steps), start_height).validate()
 
-    def step_pairs(self) -> tuple[Step, ...]:
-        """Steps as (displacement, color) pairs, which they already are."""
-        return self.steps
-
     @classmethod
     def from_step_pairs(cls, spec, pairs, start_height=0) -> "ColoredPath":
         return cls(spec, tuple(map(Step._make, pairs)), start_height)
-
-
-def _predicted_count(spec, n, start, end, colored):
-    last = capped_dp_rows(spec, n, start, end, colored)[n]
-    return last[end] if end < len(last) else 0
 
 
 def _iter_step_vectors(spec, n, start, end, colored):
@@ -225,26 +226,11 @@ def enumerate_paths(
     path count must not exceed ``max_paths`` (default 10**6, or the
     MOTZKIN_MAX_ENUM environment variable).
     """
-    if n < 0 or start < 0 or end < 0:
-        raise InvalidSpec("n, start, end must be nonnegative")
-    _guard_length(n, max_length)
-    limit = _enum_limit(max_paths)
-    predicted = _predicted_count(spec, n, start, end, colored)
-    if predicted > limit:
-        raise GuardExceeded(f"predicted {predicted} paths exceed the guard {limit}")
+    _guard((spec,), n, start, end, colored, max_paths, max_length)
     return [
         ColoredPath(spec, vec, start)
         for vec in _iter_step_vectors(spec, n, start, end, colored)
     ]
-
-
-@dataclass(frozen=True)
-class PairMatching:
-    """Each up step paired with the first down step to its right at the
-    same height; pairs are (up index, down index) sorted by up index."""
-
-    path: ColoredPath
-    pairs: tuple[tuple[int, int], ...]
 
 
 def _match_pairs(displacements):
@@ -259,8 +245,10 @@ def _match_pairs(displacements):
     return pairs
 
 
-def find_pairs(path: ColoredPath) -> PairMatching:
-    """Pair matching of a rank-1 path from height 0 back to height 0.
+def find_pairs(path: ColoredPath) -> tuple[tuple[int, int], ...]:
+    """Pair matching of a rank-1 path from height 0 back to height 0:
+    each up step paired with the first down step to its right at the
+    same height, as (up index, down index) pairs sorted by up index.
 
     On such paths the matching is total: when a down step arrives, the
     current height equals the number of unmatched up steps, so the stack
@@ -271,8 +259,7 @@ def find_pairs(path: ColoredPath) -> PairMatching:
     path.validate()
     if path.start_height != 0 or path.end_height != 0:
         raise UnbalancedPath("pair matching needs a path from height 0 to height 0")
-    pairs = _match_pairs([s.displacement for s in path.steps])
-    return PairMatching(path, tuple(pairs))
+    return tuple(_match_pairs([s.displacement for s in path.steps]))
 
 
 def _pair_color(a, b, d):
@@ -320,11 +307,11 @@ def recolor_bijection(path: ColoredPath) -> ColoredPath:
     the two colored path sets, which is why counts depend on u and d
     only through u*d.
     """
-    matching = find_pairs(path)
+    pairs = find_pairs(path)
     u = path.spec.up[0]
     d = path.spec.down[0]
     target = _rank1_spec(1, path.spec.level, u * d)
-    return ColoredPath(target, _recolor_vec(path.steps, matching.pairs, d))
+    return ColoredPath(target, _recolor_vec(path.steps, pairs, d))
 
 
 def recolor_inverse(path: ColoredPath, u: int, d: int) -> ColoredPath:
@@ -341,8 +328,7 @@ def recolor_inverse(path: ColoredPath, u: int, d: int) -> ColoredPath:
             f"path spec {spec.format()} is not (1;{spec.level};{u * d}) "
             f"as required for up weight {u} and down weight {d}"
         )
-    matching = find_pairs(path)
-    steps = _recolor_vec_inverse(path.steps, matching.pairs, d)
+    steps = _recolor_vec_inverse(path.steps, find_pairs(path), d)
     return ColoredPath(_rank1_spec(u, spec.level, d), steps)
 
 
@@ -420,14 +406,7 @@ def recoloring_report(u, level, d, n, max_paths=None) -> RecoloringReport:
     """
     src = WeightSpec((u,), level, (d,))
     tgt = WeightSpec((1,), level, (u * d,))
-    if n < 0:
-        raise InvalidSpec("n must be nonnegative")
-    _guard_length(n, DEFAULT_MAX_LENGTH)
-    limit = _enum_limit(max_paths)
-    for s in (src, tgt):
-        c = _predicted_count(s, n, 0, 0, True)
-        if c > limit:
-            raise GuardExceeded(f"predicted {c} paths exceed the guard {limit}")
+    _guard((src, tgt), n, 0, 0, True, max_paths, DEFAULT_MAX_LENGTH)
 
     # The pair map on every (a, b) that occurs, tabulated once.
     pair_map = {

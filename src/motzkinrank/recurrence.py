@@ -54,6 +54,7 @@ from .errors import (
     InsufficientTerms,
     NonIntegralStep,
     SingularLeadingCoefficient,
+    check_sizes,
 )
 
 
@@ -156,6 +157,7 @@ def apply_recurrence(rec: Recurrence, seeds, count: int) -> list[int]:
     relation does not actually generate an integer sequence from these
     seeds).
     """
+    check_sizes("count", count)
     k = rec.order
     if len(seeds) < k:
         raise InsufficientTerms(f"need at least {k} seed terms, got {len(seeds)}")
@@ -176,10 +178,8 @@ def apply_recurrence(rec: Recurrence, seeds, count: int) -> list[int]:
 
 
 def _check_terms(terms, max_order, max_degree, guard):
-    if max_order < 1 or max_degree < 0:
-        raise ValueError("need max_order >= 1 and max_degree >= 0")
-    if guard < 0:
-        raise ValueError("guard must be nonnegative")
+    check_sizes("max_order", max_order, least=1)
+    check_sizes("max_degree, guard", max_degree, guard)
     for t in terms:
         if not isinstance(t, int):
             raise TypeError("terms must be integers")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from . import backend, intpoly
-from .errors import ComposeConstantTerm
+from .errors import ComposeConstantTerm, check_sizes
 
 
 def _norm(v):
@@ -36,8 +36,7 @@ class CoeffSeries:
                     f"coefficients must be int or Fraction, got {type(v).__name__}"
                 )
         if order is not None:
-            if order < 1:
-                raise ValueError("order must be at least 1")
+            check_sizes("order", order, least=1)
             c = c[:order] + [0] * (order - len(c))
         if not c:
             raise ValueError("a series needs at least its constant term")
@@ -111,8 +110,7 @@ class CoeffSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_sizes("exponent", k)
         result = CoeffSeries([1], order=len(self._c))
         base = self
         while k:
@@ -135,8 +133,7 @@ class CoeffSeries:
 
     def shift(self, k: int) -> "CoeffSeries":
         """Multiply by x^k, keeping the order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        check_sizes("shift", k)
         n = len(self._c)
         return CoeffSeries([0] * min(k, n) + self._c[: n - k])
 
@@ -193,4 +190,5 @@ class CoeffSeries:
 
 def catalan_series(order: int) -> CoeffSeries:
     """C(x) = sum_k Cat(k) x^k, the unique series with C = 1 + x C^2."""
+    check_sizes("order", order, least=1)
     return CoeffSeries([comb(2 * k, k) // (k + 1) for k in range(order)])

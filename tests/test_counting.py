@@ -58,6 +58,8 @@ def test_argument_validation():
         mr.rank1_recurrence_seq(1, 1, 1, -1)
     with pytest.raises(mr.InvalidSpec):
         mr.rank2_prodinger_seq(-1)
+    # Sizes that once raised ValueError still do.
+    assert issubclass(mr.InvalidSpec, ValueError)
 
 
 @pytest.mark.parametrize(
@@ -71,10 +73,56 @@ def test_argument_validation():
         lambda spec: mr.count_paths_dp(spec, 2, start="1"),
         lambda spec: mr.CountTable(spec, 4, start_max=True),
         lambda spec: mr.CountTable(spec, 4.0),
+        lambda spec: mr.enumerate_paths(spec, True),
+        lambda spec: mr.enumerate_paths(spec, 2.0),
+        lambda spec: mr.enumerate_paths(spec, 2, max_paths=True),
+        lambda spec: mr.enumerate_paths(spec, 2, max_paths=10.0),
+        lambda spec: mr.enumerate_paths(spec, 2, max_length=True),
+        lambda spec: mr.enumerate_paths(spec, 2, max_length=12.0),
+        lambda spec: mr.recoloring_report(1, 1, 1, True),
+        lambda spec: mr.recoloring_report(1, 1, 1, 2.0),
+        lambda spec: mr.recoloring_report(1, 1, 1, 2, max_paths=True),
+        lambda spec: mr.recoloring_report(1, 1, 1, 2, max_paths=10.0),
+        lambda spec: mr.rank1_explicit(1, 1, 1, True),
+        lambda spec: mr.rank1_explicit(1, 1, 1, 2.0),
+        lambda spec: mr.rank1_recurrence_seq(1, 1, 1, True),
+        lambda spec: mr.rank1_recurrence_seq(1, 1, 1, 2.0),
+        lambda spec: mr.rank2_prodinger_seq(7.0),
+        lambda spec: mr.WeightSpec.all_ones(True),
+        lambda spec: mr.WeightSpec.all_ones(2.0),
+        lambda spec: mr.rank2_general_sextic(1, 1, True, 1, 1),
+        lambda spec: mr.rank2_general_sextic(1, 1, 1.0, 1, 1),
+        lambda spec: mr.solve_series(spec, True),
+        lambda spec: mr.solve_series(spec, 2.0),
+        lambda spec: mr.rank1_closed_form_series(1, 1, 1, True),
+        lambda spec: mr.rank1_closed_form_series(1, 1, 1, 2.0),
+        lambda spec: mr.guess_recurrence(mr.count_sequence(spec, 40), True, 2),
+        lambda spec: mr.guess_recurrence(mr.count_sequence(spec, 40), 2.0, 1),
+        lambda spec: mr.guess_recurrence(mr.count_sequence(spec, 40), 5, 4, guard=False),
+        lambda spec: mr.minimality_scan(mr.count_sequence(spec, 40), 2, True),
+        lambda spec: mr.minimality_scan(mr.count_sequence(spec, 40), 2, 1.0),
+        lambda spec: mr.apply_recurrence(mr.motzkin_recurrence(), [1, 1], True),
+        lambda spec: mr.apply_recurrence(mr.motzkin_recurrence(), [1, 1], 3.0),
+        lambda spec: mr.guess_algebraic_equation(mr.generating_series(spec, 20), True),
+        lambda spec: mr.guess_algebraic_equation(mr.generating_series(spec, 20), 2.0),
+        lambda spec: mr.verify_algebraic_equation(
+            mr.reference_equation(1), mr.generating_series(spec, 20), True
+        ),
+        lambda spec: mr.verify_algebraic_equation(
+            mr.reference_equation(1), mr.generating_series(spec, 20), 4.0
+        ),
+        lambda spec: mr.CoeffSeries([1], order=True),
+        lambda spec: mr.CoeffSeries([1], order=2.0),
+        lambda spec: mr.catalan_series(4) ** True,
+        lambda spec: mr.catalan_series(4) ** 2.0,
+        lambda spec: mr.catalan_series(4).shift(True),
+        lambda spec: mr.catalan_series(4).shift(2.0),
+        lambda spec: mr.catalan_series(True),
+        lambda spec: mr.catalan_series(2.0),
     ],
 )
 def test_sizes_must_be_ints_not_bools(call):
-    # A bool once counted as height 1 and a float escaped from range().
+    # A bool once counted as 0 or 1 and a float escaped from range().
     with pytest.raises(mr.InvalidSpec, match="must be integers"):
         call(mr.WeightSpec.all_ones(1))
 

@@ -67,8 +67,8 @@ def test_path_text_roundtrip_and_weight():
     # validate() returns the path itself for chaining
     assert path.validate() is path
     assert path.weight() == 2 * 3 * 3 * 4  # product of step-type weights
-    pairs = path.step_pairs()
-    assert pairs == ((1, 2), (0, 3), (0, 1), (-1, 4))
+    pairs = ((1, 2), (0, 3), (0, 1), (-1, 4))
+    assert path.steps == pairs
     assert mr.ColoredPath.from_step_pairs(spec, pairs) == path
 
 
@@ -143,7 +143,7 @@ def test_enumeration_with_zero_top_weights():
                         heights.append(heights[-1] + dd)
                     if min(heights) >= 0 and heights[-1] == end:
                         brute.append(vec)
-                assert [p.step_pairs() for p in found] == brute
+                assert [p.steps for p in found] == brute
 
 
 # md5 over every path of the grid below and over the recoloring of
@@ -201,8 +201,7 @@ def test_enumeration_guards(monkeypatch):
 def test_find_pairs_stack_discipline():
     spec = mr.WeightSpec.all_ones(1)
     path = mr.ColoredPath.from_text(spec, "+1:1,0:1,+1:1,-1:1,0:1,-1:1")
-    matching = mr.find_pairs(path)
-    assert sorted(matching.pairs) == [(0, 5), (2, 3)]
+    assert mr.find_pairs(path) == ((0, 5), (2, 3))
     with pytest.raises(mr.NotRankOne):
         mr.find_pairs(mr.ColoredPath.from_text(mr.WeightSpec.all_ones(2), "+2:1,-2:1"))
     with pytest.raises(mr.UnbalancedPath):
