@@ -76,7 +76,8 @@ class AlgebraicEquation:
     def residual(self, series: CoeffSeries, order: int | None = None) -> CoeffSeries:
         """P(x, F(x)) mod x^order, by Horner in y."""
         n = series.order if order is None else order
-        if not 1 <= n <= series.order:
+        check_sizes("order", n, least=1)
+        if n > series.order:
             raise ValueError(f"order must be in 1..{series.order}, got {n}")
         f = list(series.coeffs[:n])
         acc = list(self.coeffs[-1][:n]) + [0] * max(0, n - len(self.coeffs[-1]))

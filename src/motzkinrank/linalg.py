@@ -17,9 +17,11 @@ prefix width from one elimination:
   rows, which runs only when a lift, the Hadamard bound or the exact
   route first needs them.
 * Full rank.  w pivots below column w certify that the prefix has no
-  nullvector: reduction mod p can only lower the rank.  Any subset of
-  the rows certifies it too, since more rows cannot raise the nullity;
-  the recurrence guesser settles most orders on a head of their rows.
+  nullvector: reduction mod p can only lower the rank.  More generally
+  the prefix's nullity mod p, w less those pivots, bounds its nullity
+  over the rationals, and so does that of any subset of the rows,
+  since more rows cannot raise the nullity; the recurrence guessers
+  answer most cells on a head of their rows by that bound.
 * Otherwise every canonical nullvector of the prefix is lifted
   p-adically (Dixon, Numer. Math. 1982) from the same factorization.
   The canonical vector of free column f has 1 at f and 0 at the other
@@ -137,10 +139,10 @@ class PrefixNullspaces:
     """Verified canonical nullspaces of every column prefix of one system.
 
     ``rows`` is an integer matrix (clear denominators first).
-    ``full_rank(w)`` and ``basis(w)`` answer for its first w columns by
-    the route in the module docstring.  The system is eliminated once,
-    here, mod ``PRIME``.  ``from_packed`` builds the same object from
-    the rows' residues, packed.
+    ``full_rank(w)``, ``nullity(w)`` and ``basis(w)`` answer for its
+    first w columns by the route in the module docstring.  The system is
+    eliminated once, here, mod ``PRIME``.  ``from_packed`` builds the
+    same object from the rows' residues, packed.
     """
 
     def __init__(self, rows):
@@ -187,9 +189,14 @@ class PrefixNullspaces:
             self._rows = self._build_rows()
         return self._rows
 
+    def nullity(self, w) -> int:
+        """The first w columns' nullity mod ``PRIME``, read off the
+        pivots: a bound on their nullity over the rationals."""
+        return w - bisect_left(self._pivots, w)
+
     def full_rank(self, w) -> bool:
         """Certified: the first w columns have no nullvector."""
-        return bisect_left(self._pivots, w) == w
+        return self.nullity(w) == 0
 
     def basis(self, w, max_vectors: int | None = None):
         """Canonical verified nullvectors of the first w columns, one per

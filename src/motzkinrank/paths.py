@@ -110,9 +110,10 @@ class ColoredPath:
         return tuple(out)
 
     def validate(self) -> "ColoredPath":
-        if self.start_height < 0:
-            raise InvalidPath(f"start height {self.start_height} is negative")
         h = self.start_height
+        if isinstance(h, int) and h < 0:
+            raise InvalidPath(f"start height {h} is negative")
+        check_sizes("start height", h)
         for i, s in enumerate(self.steps):
             w = self.spec.weight_of(s.displacement)  # raises on |d| > rank
             if not 1 <= s.color <= w:

@@ -12,36 +12,50 @@ candidate that verifies on every applicable instance including the
 withheld ones.  ``minimality_scan`` maps out the whole grid, which is
 how desk-scale minimality evidence is collected.
 
-Both scan order by order and make one elimination per order.  All
-cells of order k share the rows n = 0..len(terms)-k-guard-1, so order
-k's system is eliminated once, with its columns degree-major (every
+Both scan order by order.  All cells of order k share the rows
+n = 0..len(terms)-k-guard-1, so a system of order k's rows is
+eliminated once for all its cells, with its columns degree-major (every
 m_{n+i} for n^0, then for n^1, ...), by ``linalg.PrefixNullspaces``.
 Its rows are packed for the modular elimination straight from the
 terms mod p, never from the integer entries t_{n+i} n^e.  Cell (k, d)
 is then the column prefix of width w = (k+1)(d+1): full column rank
 mod p, read off the pivots, certifies an empty cell, and otherwise the
 prefix's canonical nullvectors are lifted p-adically from the same
-factorization and checked on the integer system, which is built for
-that order at its first lift.  An order whose every cell is full rank
-never builds it.  The candidates of a cell are the canonical
-vectors of its own order-major columns (all n-powers for m_n, then for
-m_{n+1}, ...), read exactly off that basis: when the cell's nullspace
-has dimension 2 or more, the two layouts can pick different canonical
-vectors, and the order-major ones are the cell's answer.
-``guess_recurrence`` stops each order's degrees at the best verified
-cell found so far.
+factorization and checked on the integer rows, which are built for
+that system at its first lift.  A system whose every cell asked is
+full rank never builds them.  The candidates of a cell are the
+canonical vectors of its own order-major columns (all n-powers for
+m_n, then for m_{n+1}, ...), read exactly off that basis: when the
+cell's nullspace has dimension 2 or more, the two layouts can pick
+different canonical vectors, and the order-major ones are the cell's
+answer.  ``guess_recurrence`` stops each order's degrees at the best
+verified cell found so far.
 
-Most orders have no relation at all, and a few rows more than columns
-already show it.  So before an order's full system, both scans
-eliminate its head: the first w + 8 rows, w = (k+1)(top+1) its widest
-cell, top its largest degree.  If the head has full column rank mod p,
-so has the whole integer system, of which it is a row subset: no cell
-of the order has a relation, and the order is skipped.  Otherwise the
-full system is eliminated and read exactly as above.  The 8 spare rows
-are there because the first rows are weak: row 0 is zero in every n^e
-block with e >= 1, and row 1 repeats its window in every block.  The
-head is tried only when it is at most half of the order's rows, which
-bounds what an order with a relation spends on a head it cannot settle.
+Most cells have no relation, and a few rows more than columns already
+show it.  So both scans first eliminate an order's head: its first
+w + 8 rows, w = (k+1)(top+1) its widest cell, top its largest degree,
+or all its rows when they are no more.  The head is a row subset of
+the order's system, so the system's nullspace at each width lies in
+the head's, whose dimension is at most the head's nullity mod p.  Each
+cell is answered by that nullity:
+
+* 0: the cell has no relation.
+* 1: the head's one canonical nullvector v is lifted and checked on
+  every term, as every candidate is.  The whole system's nullspace is
+  either empty or spanned by v, and a one-dimensional span has the
+  same canonical vector in either column layout, so this is the whole
+  system's verdict without eliminating it: when v verifies, when it
+  fails, and when the prime was unlucky on the head, whose exact route
+  then finds its nullspace.
+* 2 or more: the head cannot tell which of its vectors the whole
+  system keeps, so the order's whole system is eliminated, and the
+  cell is read off it as above.
+
+Nullity never falls as the width grows, so an order's whole system is
+eliminated at most once, and every wider cell is read off it too.
+The 8 spare rows are there because the first rows are weak: row 0 is
+zero in every n^e block with e >= 1, and row 1 repeats its window in
+every block.
 """
 
 from __future__ import annotations
@@ -135,8 +149,10 @@ def verify_recurrence(rec: Recurrence, terms) -> bool:
     """Does the relation hold at every applicable index of terms?
 
     Raises ``InsufficientTerms`` when the terms hold no instance of the
-    relation (at most ``rec.order`` of them), which would verify nothing.
+    relation (at most ``rec.order`` of them), which would verify nothing,
+    and ``TypeError`` on a term that is not an int.
     """
+    _check_integers(terms)
     k = rec.order
     if len(terms) <= k:
         raise InsufficientTerms(
@@ -155,9 +171,10 @@ def apply_recurrence(rec: Recurrence, seeds, count: int) -> list[int]:
     Solves for m_{n+k} at each step; raises if the leading coefficient
     vanishes at some n or if a division is not exact (either means the
     relation does not actually generate an integer sequence from these
-    seeds).
+    seeds), and ``TypeError`` on a seed that is not an int.
     """
     check_sizes("count", count)
+    _check_integers(seeds)
     k = rec.order
     if len(seeds) < k:
         raise InsufficientTerms(f"need at least {k} seed terms, got {len(seeds)}")
@@ -177,12 +194,16 @@ def apply_recurrence(rec: Recurrence, seeds, count: int) -> list[int]:
     return out[:count]
 
 
-def _check_terms(terms, max_order, max_degree, guard):
-    check_sizes("max_order", max_order, least=1)
-    check_sizes("max_degree, guard", max_degree, guard)
+def _check_integers(terms):
     for t in terms:
         if not isinstance(t, int):
             raise TypeError("terms must be integers")
+
+
+def _check_terms(terms, max_order, max_degree, guard):
+    check_sizes("max_order", max_order, least=1)
+    check_sizes("max_degree, guard", max_degree, guard)
+    _check_integers(terms)
     need = (max_order + 1) * (max_degree + 1) + max_order + guard
     if len(terms) < need:
         raise InsufficientTerms(
@@ -248,15 +269,17 @@ def _order_system(terms, k, max_degree, guard):
 _HEAD_SPARE = 8
 
 
-def _nonempty_order_system(terms, k, top, guard):
-    """Order k's system over degrees 0..top, or None when its head
-    certifies that no cell of the order has a relation."""
-    width = (k + 1) * (top + 1)
-    head = width + _HEAD_SPARE
-    if 2 * head <= len(terms) - k - guard:
-        if _order_system(terms[: head + k + guard], k, top, guard).full_rank(width):
-            return None
-    return _order_system(terms, k, top, guard)
+def _order_cells(terms, k, top, guard):
+    """The verified relation of each cell (k, d), d = 0..top in turn, or
+    None: answered on the order's head of rows, or on its whole system
+    where the head's nullity is 2 or more (see the module docstring)."""
+    rows = (k + 1) * (top + 1) + _HEAD_SPARE
+    head = _order_system(terms[: rows + k + guard], k, top, guard)
+    full = head if rows >= len(terms) - k - guard else None
+    for d in range(top + 1):
+        if full is None and head.nullity((k + 1) * (d + 1)) >= 2:
+            full = _order_system(terms, k, top, guard)
+        yield _cell_relation(terms, head if full is None else full, k, d)
 
 
 def _cell_relation(terms, system, k, d, max_candidates=8):
@@ -306,11 +329,7 @@ def guess_recurrence(terms, max_order: int, max_degree: int, guard: int = 8):
         top = min(max_degree, bound - k - 1)
         if top < 0:
             break
-        system = _nonempty_order_system(terms, k, top, guard)
-        if system is None:
-            continue
-        for d in range(top + 1):
-            rec = _cell_relation(terms, system, k, d)
+        for d, rec in enumerate(_order_cells(terms, k, top, guard)):
             if rec is not None:
                 best, bound = rec, k + d
                 break
@@ -355,13 +374,8 @@ def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
     _check_terms(terms, max_order, max_degree, guard)
     hits = []
     for k in range(1, max_order + 1):
-        system = _nonempty_order_system(terms, k, max_degree, guard)
-        if system is not None:
-            hits += [
-                (k, d)
-                for d in range(max_degree + 1)
-                if _cell_relation(terms, system, k, d) is not None
-            ]
+        cells = _order_cells(terms, k, max_degree, guard)
+        hits += [(k, d) for d, rec in enumerate(cells) if rec is not None]
     return MinimalityReport(
         terms_used=len(terms),
         max_order=max_order,

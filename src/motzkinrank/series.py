@@ -125,7 +125,8 @@ class CoeffSeries:
 
     def truncate(self, order: int) -> "CoeffSeries":
         """Drop knowledge down to the given order (never extends)."""
-        if not 1 <= order <= len(self._c):
+        check_sizes("truncation order", order, least=1)
+        if order > len(self._c):
             raise ValueError(
                 f"truncation order must be in 1..{len(self._c)}, got {order}"
             )

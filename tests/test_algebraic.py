@@ -41,6 +41,9 @@ def test_residual_and_verify(motzkin40):
     assert mr.verify_algebraic_equation(quad, motzkin40, order=10)
     with pytest.raises(ValueError):
         quad.residual(motzkin40, order=99)
+    for order in (0, True, 1.0, 2.0):
+        with pytest.raises(mr.InvalidSpec):
+            quad.residual(motzkin40, order)
 
 
 def test_verify_needs_the_x_degree_plus_one(motzkin40):

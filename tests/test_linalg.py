@@ -230,6 +230,7 @@ def test_every_prefix_matches_the_exact_route(rows):
     for w in range(1, len(rows[0]) + 1):
         exact = exact_nullspace([row[:w] for row in rows])
         assert system.full_rank(w) == (exact == [])
+        assert system.nullity(w) == len(exact)
         assert system.basis(w, max_vectors=1) == exact[:1]
         assert system.basis(w) == exact
 
@@ -253,20 +254,23 @@ def _count_eliminations(monkeypatch):
     monkeypatch.setattr(
         backend,
         "packed_echelon",
-        lambda packed, rows, p: calls.append(len(rows[0])) or echelon(packed, rows, p),
+        lambda packed, rows, p: calls.append((len(packed), len(rows[0])))
+        or echelon(packed, rows, p),
     )
     monkeypatch.setattr(backend, "bareiss_echelon", None)
     return calls
 
 
-def test_minimality_scan_eliminates_once_per_order(monkeypatch):
+def test_minimality_scan_eliminates_a_whole_system_only_at_nullity_two(monkeypatch):
     terms = mr.count_sequence(mr.WeightSpec.all_ones(2), 119)
     calls = _count_eliminations(monkeypatch)
     report = mr.minimality_scan(terms, max_order=5, max_degree=5)
     assert report.hits == ((5, 4), (5, 5))
-    # Orders 1-4 are certified empty on a head of their rows; order 5's
-    # head has its relation, so its whole system is eliminated, once.
-    assert calls == [6 * (k + 1) for k in range(1, 6)] + [36]
+    # (rows, columns): each order's head is its 6(k + 1) columns plus 8
+    # rows.  Orders 1-4 are certified empty there.  Order 5's head has
+    # nullity 1 at (5, 4), which it answers, and 2 at (5, 5), so the
+    # order's 107 rows are eliminated too, once.
+    assert calls == [(6 * (k + 1) + 8, 6 * (k + 1)) for k in range(1, 6)] + [(107, 36)]
 
 
 def test_rank4_equation_guess_eliminates_once(monkeypatch):
@@ -277,7 +281,7 @@ def test_rank4_equation_guess_eliminates_once(monkeypatch):
     report = mr.guess_algebraic_equation(series, 16)
     assert report.found and report.equation.y_degree == 16
     assert mr.check_shape_conjecture(report.equation, 4)
-    assert calls == [153]
+    assert calls == [(170, 153)]
 
 
 def test_guessers_match_with_the_entrywise_kernel(monkeypatch):

@@ -91,7 +91,7 @@ def test_path_validation_errors():
         mr.ColoredPath.from_text(spec, "+1:3,-1:1").validate()  # color > weight
     with pytest.raises(mr.InvalidPath):
         mr.ColoredPath.from_text(spec, "+1:1,-1:0").validate()  # colors start at 1
-    with pytest.raises(mr.InvalidPath):
+    with pytest.raises(mr.InvalidPath, match="start height -1 is negative"):
         mr.ColoredPath(spec, (), start_height=-1).validate()
     with pytest.raises(mr.InvalidPath):
         mr.ColoredPath.from_text(spec, "+2:1,-1:1,-1:1")  # step outside rank
@@ -99,6 +99,17 @@ def test_path_validation_errors():
         mr.ColoredPath.from_text(spec, "+1;1")  # missing the ':' separator
     with pytest.raises(mr.InvalidPath):
         mr.ColoredPath.from_text(spec, "+x:1")
+
+
+@pytest.mark.parametrize("height", [True, 1.0, 2.0, "1"])
+def test_start_height_must_be_an_int(height):
+    # A bool or a float is no start height, even where it equals one.
+    spec = mr.WeightSpec.rank1(2, 1, 2)
+    with pytest.raises(mr.InvalidSpec, match="start height must be integers"):
+        mr.ColoredPath.from_text(spec, "-1:1", height)
+    with pytest.raises(mr.InvalidSpec):
+        mr.ColoredPath(spec, (), height).validate()
+    assert mr.ColoredPath.from_text(spec, "-1:1", 1).heights() == (1, 0)
 
 
 def test_enumerate_matches_dp():

@@ -1,5 +1,9 @@
 """Polynomial-coefficient recurrences: verify, extend, guess, scan."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from conftest import entrywise_modp_echelon
 from hypothesis import assume, example, given, settings
@@ -87,6 +91,17 @@ def test_apply_extends_dp(motzkin):
         mr.apply_recurrence(rec, motzkin[:1], 10)
 
 
+def test_recurrence_functions_refuse_non_int_terms(motzkin):
+    # Floats are refused as guess_recurrence refuses them, not extended
+    # to floats or verified as unequal.
+    rec = mr.motzkin_recurrence()
+    for count in (30, 60):
+        with pytest.raises(TypeError, match="terms must be integers"):
+            mr.apply_recurrence(rec, [1.0, 1.0], count)
+    with pytest.raises(TypeError, match="terms must be integers"):
+        mr.verify_recurrence(rec, [float(t) for t in motzkin[:20]])
+
+
 def test_apply_singular_leading_coefficient():
     # leading polynomial n - 3 vanishes at n = 3
     rec = Recurrence(((1,), (-3, 1)))
@@ -163,6 +178,32 @@ def test_rank2_shorter_relation_is_genuine(rank2):
     longer = mr.count_sequence(mr.WeightSpec.all_ones(2), 200)
     assert mr.verify_recurrence(rec, longer)
     assert mr.apply_recurrence(rec, longer[:5], 201) == longer
+
+
+PINNED_POOLS = Path(__file__).resolve().parent / "pinned" / "guess_rec_pools.json"
+
+# The specs the guess-rec benchmark draws from, each with its mirror (up
+# and down weights swapped): 10 symmetric ones with a (5, 4) relation,
+# then 13 pairs with a (10, 7) one.
+_BENCHMARK_SPECS = (
+    "1,1;1;1,1", "1,1;2;1,1", "2,2;1;2,2", "1,2;1;1,2", "1,2;2;1,2",
+    "2,1;1;2,1", "1,3;1;1,3", "1,3;2;1,3", "2,3;1;2,3", "2,3;2;2,3",
+    "1,1;2;2,1", "2,1;2;1,1", "1,1;1;2,2", "2,2;1;1,1", "1,1;2;2,2",
+    "2,2;2;1,1", "1,1;1;3,1", "3,1;1;1,1", "1,2;1;2,1", "2,1;1;1,2",
+    "1,2;2;3,1", "3,1;2;1,2", "2,1;1;3,1", "3,1;1;2,1", "2,1;2;3,1",
+    "3,1;2;2,1", "1,2;1;3,3", "3,3;1;1,2", "1,2;1;1,3", "1,3;1;1,2",
+    "1,2;2;1,3", "1,3;2;1,2", "1,2;1;2,3", "2,3;1;1,2", "1,2;2;2,3",
+    "2,3;2;1,2",
+)
+
+
+def test_benchmark_relations_are_pinned():
+    # The normalized (10, 7) guess from 120 counts of each spec.
+    pinned = json.loads(PINNED_POOLS.read_text())
+    assert list(pinned) == list(_BENCHMARK_SPECS)
+    for text in _BENCHMARK_SPECS:
+        rec = mr.guess_recurrence(mr.count_sequence(mr.WeightSpec.parse(text), 119), 10, 7)
+        assert rec.to_json_dict() == pinned[text], text
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,32 +300,83 @@ def _rank_le_2_specs(draw):
 
 @st.composite
 def _recurrence_cases(draw):
+    # Counts, or counts with one term past the head of one order's rows
+    # changed: that head still has the relation, the whole system has not.
     spec = draw(_rank_le_2_specs())
     start = draw(st.integers(0, spec.rank))
     end = draw(st.integers(0, spec.rank))
     terms = mr.count_sequence(spec, draw(st.integers(39, 89)), start, end)
-    return terms, draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    max_order, max_degree = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, max_order))
+        past = (k + 1) * (max_degree + 1) + recurrence._HEAD_SPARE + k + 8
+        if past < len(terms):
+            terms[draw(st.integers(past, len(terms) - 1))] += draw(st.sampled_from([-1, 1]))
+    return terms, max_order, max_degree
+
+
+def _count_head_branches(terms, run):
+    """run(), and how often it took the two branches of a head of rows
+    with a relation: a lone head candidate that fails verification, and
+    a head cell of nullity 2 or more, answered on the whole system."""
+    counts, heads = Counter(), []
+    order_system, cell_relation = recurrence._order_system, recurrence._cell_relation
+
+    def counted_order_system(part, k, *rest):
+        system = order_system(part, k, *rest)
+        if len(part) < len(terms):
+            heads.append((k, system))
+        elif heads and heads[-1][0] == k:  # the whole system, after its head
+            counts["escalated"] += 1
+        return system
+
+    def counted_cell_relation(seq, system, k, d, *rest):
+        rec = cell_relation(seq, system, k, d, *rest)
+        on_head = any(system is head for _, head in heads)
+        if on_head and rec is None and system.nullity((k + 1) * (d + 1)) == 1:
+            counts["lone candidate fails"] += 1
+        return rec
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recurrence, "_order_system", counted_order_system)
+        patch.setattr(recurrence, "_cell_relation", counted_cell_relation)
+        return run(), counts
 
 
 # 2^n up to n = 29, then 3^n: every order's head of rows has the relation
-# m[n+1] = 2 m[n], which the later terms break, so the head is rank
-# deficient and the whole system is eliminated; only (2, 2) has a
-# relation, (n - 28)(n - 29) (m[n+2] - 5 m[n+1] + 6 m[n]) = 0.
+# m[n+1] = 2 m[n], which the later terms break, so that lone candidate
+# fails; only (2, 2) has a relation, (n - 28)(n - 29) (m[n+2] - 5 m[n+1]
+# + 6 m[n]) = 0.
 _TWO_THEN_THREE = [2**n for n in range(30)] + [3**n for n in range(30, 60)]
+# The Motzkin numbers: (2, 2) and (3, 1) hold the (2, 1) relation times
+# n + c, or shifted, so both have nullity 2 on their order's head.
+_MOTZKIN = mr.count_sequence(mr.WeightSpec.all_ones(1), 59)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_recurrence_cases())
-@example((_TWO_THEN_THREE, 2, 2))
-def test_order_major_scan_matches_cell_by_cell(case):
+@given(case=_recurrence_cases())
+@example(case=(_TWO_THEN_THREE, 2, 2))
+@example(case=(_MOTZKIN, 3, 2))
+def _scan_matches_cell_by_cell(branches, case):
     terms, max_order, max_degree = case
     try:
-        report = mr.minimality_scan(terms, max_order, max_degree)
+        (report, guess), counts = _count_head_branches(
+            terms,
+            lambda: (
+                mr.minimality_scan(terms, max_order, max_degree),
+                mr.guess_recurrence(terms, max_order, max_degree),
+            ),
+        )
     except mr.InsufficientTerms:
         assume(False)
-    guess, hits = _cell_by_cell(terms, max_order, max_degree)
-    assert report.hits == hits
-    assert mr.guess_recurrence(terms, max_order, max_degree) == guess
+    branches.update(counts)
+    assert (guess, report.hits) == _cell_by_cell(terms, max_order, max_degree)
+
+
+def test_order_major_scan_matches_cell_by_cell():
+    branches = Counter()
+    _scan_matches_cell_by_cell(branches)
+    assert branches["lone candidate fails"] and branches["escalated"]
 
 
 @st.composite
@@ -343,11 +435,12 @@ def test_integer_systems_are_built_only_for_orders_that_lift(monkeypatch):
         recurrence, "_order_rows", lambda terms, k, *rest: built.append(k) or order_rows(terms, k, *rest)
     )
     # C4's grid: orders 1-4 are full rank at every width, so only order 5
-    # has a prefix to lift.
+    # has a prefix to lift: (5, 4) on its head, where it has nullity 1,
+    # and (5, 5), of nullity 2 there, on its whole system.
     terms = mr.count_sequence(mr.WeightSpec.all_ones(2), 119)
     assert all(recurrence._order_system(terms, k, 5, 8).full_rank(6 * (k + 1)) for k in range(1, 5))
     assert mr.minimality_scan(terms, max_order=5, max_degree=5).hits == ((5, 4), (5, 5))
-    assert built == [5]
+    assert built == [5, 5]
     built.clear()
     terms = mr.count_sequence(mr.WeightSpec.parse("2,1;1;3,1"), 119)
     assert mr.guess_recurrence(terms, 10, 7).order == 10
@@ -355,10 +448,11 @@ def test_integer_systems_are_built_only_for_orders_that_lift(monkeypatch):
 
 
 def test_orders_without_a_relation_are_settled_on_a_head_of_rows(monkeypatch):
-    # (rows, columns) of each elimination: orders 1-4, and 6-8 under the
-    # bound the (5, 4) relation sets, are certified empty on a head of
-    # their columns plus 8 rows; order 5's head would exceed half its
-    # 107 rows, so only order 5 is eliminated in full.
+    # (rows, columns) of each elimination: every order is eliminated on a
+    # head of its columns plus 8 rows.  Orders 1-4, and 6-8 under the
+    # bound the (5, 4) relation sets, are certified empty there; order
+    # 5's head has nullity 1 at (5, 4), so its one candidate is verified
+    # on all the terms, and its 107 rows are never eliminated.
     calls = []
     echelon = backend.packed_echelon
     monkeypatch.setattr(
@@ -369,7 +463,7 @@ def test_orders_without_a_relation_are_settled_on_a_head_of_rows(monkeypatch):
     terms = mr.count_sequence(mr.WeightSpec.parse("1,2;1;1,2"), 119)
     rec = mr.guess_recurrence(terms, 10, 7)
     assert (rec.order, rec.degree) == (5, 4)
-    assert calls == [(24, 16), (32, 24), (40, 32), (48, 40), (107, 48), (29, 21), (24, 16), (17, 9)]
+    assert calls == [(24, 16), (32, 24), (40, 32), (48, 40), (56, 48), (29, 21), (24, 16), (17, 9)]
 
 
 @settings(max_examples=20, deadline=None)

@@ -57,6 +57,9 @@ def test_truncate_and_shift():
     assert s.truncate(4) is not s and s.truncate(4) == s
     with pytest.raises(ValueError):
         s.truncate(5)
+    for order in (0, True, 1.0, 2.0):
+        with pytest.raises(mr.InvalidSpec):
+            s.truncate(order)
     assert s.shift(2).coeffs == (0, 0, 1, 2)
     with pytest.raises(ValueError):
         s.shift(-1)
