@@ -333,7 +333,7 @@ def rank2_general_equation_check(u1, u2, l, d1, d2, order: int = 40) -> bool:
     """Does the weight-parametrized sextic annihilate the solved series?
 
     Substitutes the numeric weights into :func:`rank2_general_sextic`
-    and checks it against the fixed-point solution for the same spec,
+    and checks it against the solved series for the same spec,
     truncated at ``order``.
     """
     from .genfunc import generating_series

@@ -167,7 +167,8 @@ class CountTable:
         self._rows = {s: capped_dp_rows(spec, n_max, s, end_max) for s in range(start_max + 1)}
 
     def value(self, n, s, t) -> int:
-        if not (0 <= n <= self.n_max and 0 <= s <= self.start_max and 0 <= t <= self.end_max):
+        check_sizes("n, s, t", n, s, t)
+        if not (n <= self.n_max and s <= self.start_max and t <= self.end_max):
             raise InvalidSpec(
                 f"(n={n}, s={s}, t={t}) outside the table bounds "
                 f"({self.n_max}, {self.start_max}, {self.end_max})"

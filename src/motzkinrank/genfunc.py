@@ -19,13 +19,16 @@ system collapses to r(r+1)/2 equations in the unknowns with i >= j
 (``symmetric=True``).  ``generating_series`` and the CLI solve the
 reduced system whenever the spec is all-ones; the series are the same.
 
-``solve_series`` finds all A[i,j] as truncated integer series by Jacobi
-fixed-point sweeps.  A state that a full-order sweep leaves unchanged
-is provably the solution: in a sweep image, any lowest wrong
-coefficient would have to come from the x-free term A[i-1,j-1] of the
-second family, and chasing that term down the diagonal exits the family
-(j reaches 0, where the x-free term is dropped), a contradiction.
-Stability at full order is therefore an exact stopping rule.
+``solve_series`` finds all A[i,j] as truncated integer series in
+``order`` ordered sweeps.  The system is well-founded: the only term
+without a factor x is A[i-1,j-1] in the (i,j) equation, and its label
+has a smaller min(i, j).  So the equations are evaluated in increasing
+min(i, j) of their label (the same in both layouts, since min is
+symmetric), each result written back before the next equation is read.
+By induction on t, after sweep t the coefficients 0..t-1 of every
+unknown are exact: a term carrying a factor x needs only coefficients
+below t-1, exact since sweep t-1, and the x-free A[i-1,j-1] was
+already brought to t exact coefficients earlier in the same sweep.
 """
 
 from __future__ import annotations
@@ -214,30 +217,22 @@ def _eval_plan(plan, values, t):
 def solve_series(spec: WeightSpec, order: int, symmetric: bool = False) -> SeriesFamily:
     """Solve the system as integer series modulo x^order.
 
-    Jacobi sweeps from the seed A[0,0] = 1, A[i,j] = 0, re-evaluating
-    every equation from the previous sweep's values.  Early sweeps run
-    at a ramped truncation (sweep s at order s+8) since sweep s can
-    only settle about s coefficients; the stopping rule is exact: stop
-    when a full-order sweep reproduces its input (see module docstring
-    for why a fixed point is necessarily the solution).
+    Every unknown starts as the empty series.  Sweep t = 1..order
+    evaluates the equations at truncation t in increasing min(i, j) of
+    their label, writing each result back at once; after sweep t the
+    first t coefficients of every unknown are exact (see the module
+    docstring), so ``order`` sweeps solve the system.
     """
     check_sizes("order", order, least=1)
     system = build_system(spec, symmetric=symmetric)
-    plans = [(lhs, _evaluation_plan(terms)) for lhs, terms in system.equations]
-    values = {lab: [0] for lab in system.unknowns}
-    values[0, 0] = [1]
-    ramp = 8
-    sweep = 0
-    limit = 2 * order + 8 * spec.rank + 32
-    while True:
-        sweep += 1
-        if sweep > limit:  # the ramp guarantees convergence well before this
-            raise SelfCheckFailed("fixed-point iteration failed to stabilize")
-        t = min(order, sweep + ramp)
-        new = {lhs: _eval_plan(plan, values, t) for lhs, plan in plans}
-        if t == order and new == values:
-            break
-        values = new
+    plans = sorted(
+        ((lhs, _evaluation_plan(terms)) for lhs, terms in system.equations),
+        key=lambda item: min(item[0]),
+    )
+    values = {lab: [] for lab in system.unknowns}
+    for t in range(1, order + 1):
+        for lhs, plan in plans:
+            values[lhs] = _eval_plan(plan, values, t)
 
     r = spec.rank
     family = {}
@@ -276,7 +271,7 @@ def rank1_closed_form_series(u: int, l: int, d: int, order: int) -> CoeffSeries:
     Catalan composition: summing over the number of up steps j, the
     j-up paths contribute Cat(j) (ud)^j x^{2j} / (1-lx)^{2j+1}.  A
     route to the coefficients independent of both the DP and the
-    fixed-point solver.
+    series solver.
     """
     WeightSpec.rank1(u, l, d)  # validate
     check_sizes("order", order, least=1)

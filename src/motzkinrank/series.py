@@ -136,7 +136,8 @@ class CoeffSeries:
         """Multiply by x^k, keeping the order."""
         check_sizes("shift", k)
         n = len(self._c)
-        return CoeffSeries([0] * min(k, n) + self._c[: n - k])
+        k = min(k, n)
+        return CoeffSeries([0] * k + self._c[: n - k])
 
     def compose(self, inner: "CoeffSeries") -> "CoeffSeries":
         """self(inner(x)); the inner series must vanish at x = 0."""

@@ -73,6 +73,8 @@ def test_argument_validation():
         lambda spec: mr.count_paths_dp(spec, 2, start="1"),
         lambda spec: mr.CountTable(spec, 4, start_max=True),
         lambda spec: mr.CountTable(spec, 4.0),
+        lambda spec: mr.CountTable(spec, 4).value(True, 0, 0),
+        lambda spec: mr.CountTable(spec, 4).value(2.0, 0, 0),
         lambda spec: mr.enumerate_paths(spec, True),
         lambda spec: mr.enumerate_paths(spec, 2.0),
         lambda spec: mr.enumerate_paths(spec, 2, max_paths=True),

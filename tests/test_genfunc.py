@@ -1,6 +1,8 @@
-"""Generating-function systems and the fixed-point series solver."""
+"""Generating-function systems and the ordered-sweep series solver."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import motzkinrank as mr
 
@@ -53,6 +55,38 @@ def test_solver_general_weights_residual():
     family = mr.solve_series(spec, 20)
     for series in mr.system_residual(system, family).values():
         assert not any(series.coeffs)
+
+
+@st.composite
+def _solver_cases(draw):
+    rank = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        spec = mr.WeightSpec.all_ones(rank)
+    else:
+        weights = st.lists(st.integers(0, 5), min_size=rank, max_size=rank)
+        spec = mr.WeightSpec(draw(weights), draw(st.integers(0, 5)), draw(weights))
+    return spec, draw(st.integers(1, 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_solver_cases())
+# evaluated in build order rather than by min(i, j), the symmetric rank-3
+# solve gets A[1,2] and A[2,1] wrong in the top coefficient here
+@example((mr.WeightSpec.all_ones(3), 12))
+def test_solver_matches_dp_and_residual_property(case):
+    spec, order = case
+    families = []
+    for symmetric in (False, True) if spec.is_all_ones else (False,):
+        family = mr.solve_series(spec, order, symmetric=symmetric)
+        system = mr.build_system(spec, symmetric=symmetric)
+        for series in mr.system_residual(system, family).values():
+            assert not any(series.coeffs)
+        families.append(family)
+    for s in range(spec.rank):
+        for t in range(spec.rank):
+            counts = mr.count_sequence(spec, order - 1, start=s, end=t)
+            for family in families:
+                assert list(family[s, t].coeffs) == counts, (spec, order, s, t)
 
 
 def test_series_matches_dp():

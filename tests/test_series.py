@@ -61,6 +61,9 @@ def test_truncate_and_shift():
         with pytest.raises(mr.InvalidSpec):
             s.truncate(order)
     assert s.shift(2).coeffs == (0, 0, 1, 2)
+    # shifting by the order or more leaves the zero series, not a wrap-around
+    for k in (4, 5, 7):
+        assert s.shift(k) == CoeffSeries([0], order=4)
     with pytest.raises(ValueError):
         s.shift(-1)
 
