@@ -8,11 +8,18 @@ The modular LU packs each row's columns not yet eliminated into one
 int, the current column lowest, so a row update is one big-integer
 multiply-add rather than a loop over entries, on a row that loses a
 slot at every column.  ``packed_echelon`` is the one elimination loop.
-``modp_echelon`` packs integer rows and hands them to it; a caller that
-can build its rows' residues packed (the recurrence systems, from the
-residues of their terms) calls it directly.  The layout is this
-module's: ``slot_bits`` gives the slot width and its no-carry bound,
-``pack`` the order of the slots.
+It never unpacks a row: a pivot row's tail is reduced mod p on the
+packed int, every slot at once, by ``folder``, which leaves each slot
+below 2**(k + 1), k = p.bit_length(), not below p.  The rows below
+take that folded tail times their multiplier over the pivot, and it is
+returned packed with the pivot's inverse in place of a written-out U
+row.  ``modp_echelon`` packs integer rows, hands them to it and writes
+U from those tails.  ``linalg`` calls it directly, on rows it packs or
+on the recurrence systems' rows packed from the residues of their
+terms, and reads U only where a lift needs it.  The layout is this
+module's: ``slot_bits`` gives the slot width and its no-carry bound for
+updates by folded tails, ``pack`` and ``unpack`` the order of the
+slots.
 
 Callers look the kernels up as ``backend.<kernel>`` at call time, and
 ``modp_echelon`` looks up ``packed_echelon`` the same way, so a wrapper
@@ -109,12 +116,14 @@ def dp_rows(deltas, weights, n, start, caps):
 def slot_bits(p, ncols):
     """Slot width S of a packed row of ncols residues mod the prime p.
 
-    S >= 2 * p.bit_length() + ncols.bit_length() + 1, rounded up to whole
-    bytes so rows pack and unpack through ``bytes``.  An entry may start
-    at any value below p**2 (a product of two residues), and the
-    elimination adds less than p**2 to it once per pivot left of it, so
-    it stays below (ncols + 1) * p**2 < 2**S: no slot carries into the
-    next.
+    S >= 2 * k + ncols.bit_length() + 1 with k = p.bit_length(), rounded
+    up to whole bytes so rows pack and unpack through ``bytes``.  An
+    entry may start at any value below p**2 (a product of two
+    residues).  The elimination adds to it, once per pivot left of it,
+    a multiplier below p times a slot of a folded tail, which ``folder``
+    leaves below 2**(k + 1): less than 2**(2 * k + 1) each time.  So it
+    stays below p**2 + (ncols - 1) * 2**(2 * k + 1) < 2**S: no slot
+    carries into the next.
     """
     return 8 * ((2 * p.bit_length() + ncols.bit_length() + 8) // 8)
 
@@ -129,10 +138,45 @@ def pack(values, s):
     return int.from_bytes(b"".join([v.to_bytes(sb, "little") for v in values]), "little")
 
 
-def _unpack(x, n, sb):
-    """The n sb-byte slots of x, lowest first: the inverse of ``pack``."""
+def unpack(x, n, s):
+    """The n s-bit slots of x, lowest first: the inverse of ``pack``."""
+    sb = s // 8
     b = x.to_bytes(n * sb, "little")
     return [int.from_bytes(b[j : j + sb], "little") for j in range(0, n * sb, sb)]
+
+
+def folder(p, ncols):
+    """The reduction mod p of packed rows of up to ncols slots at
+    ``slot_bits(p, ncols)``, all slots at once.
+
+    With k = p.bit_length(), 2**k = p + c, so a slot v = h * 2**k + l
+    is congruent to c * h + l mod p.  One fold masks out every slot's
+    low k bits l and its high bits h and forms the slots c * h + l,
+    which is at most 2**k - 1 + c * (2**(S - k) - 1) < 2**S: no slot
+    carries.  Each fold bounds a slot below b by 2**k - 1 + c * (b >>
+    k), which falls while b >= 2**(k + 1), since p >= 2**(k - 1).  The
+    returned function folds as often as it takes that bound, from 2**S,
+    to pass below 2**(k + 1): its slots are congruent to the input's
+    mod p and below 2**(k + 1) <= 4 * p, not fully reduced.  For the
+    Mersenne prime 2**61 - 1, c = 1 and that is two folds at any width
+    below 2**53 columns.
+    """
+    s = slot_bits(p, ncols)
+    k = p.bit_length()
+    c = (1 << k) - p
+    ones = ((1 << s * ncols) - 1) // ((1 << s) - 1)  # 1 in every slot
+    low, high = ((1 << k) - 1) * ones, ((1 << s - k) - 1) * ones
+    folds, b = 0, (1 << s) - 1
+    while b >> k > 1:
+        b = (1 << k) - 1 + c * (b >> k)
+        folds += 1
+
+    def fold(x):
+        for _ in range(folds):
+            x = (x & low) + c * (x >> k & high)
+        return x
+
+    return fold
 
 
 def modp_echelon(rows, p):
@@ -153,48 +197,69 @@ def modp_echelon(rows, p):
     first w columns this is the factorization of that column prefix,
     with the pivots below w.
 
-    The residues are packed at ``slot_bits(p, ncols)`` and eliminated
-    by ``packed_echelon``, into the cleared input rows.
+    The residues are packed by ``pack_residues`` and eliminated by
+    ``packed_echelon`` into the cleared input rows, and U is written out
+    by ``upper_row``.
     """
     ncols = len(rows[0]) if rows else 0
-    s = slot_bits(p, ncols)
-    packed = [pack([v % p for v in row], s) for row in rows]
+    packed = pack_residues(rows, p)
     for row in rows:
         row[:] = [0] * ncols
-    return packed_echelon(packed, rows, p)
+    pivots, order, tails, invs = packed_echelon(packed, rows, p)
+    for k, c in enumerate(pivots):
+        rows[k][c + 1 :] = upper_row(tails[k], invs[k], c, ncols, p)
+    return pivots, order
+
+
+def pack_residues(rows, p):
+    """The integer rows' residues mod p, each row packed at
+    ``slot_bits(p, ncols)``: ``packed_echelon``'s input."""
+    s = slot_bits(p, len(rows[0]) if rows else 0)
+    return [pack([v % p for v in row], s) for row in rows]
+
+
+def upper_row(tail, inv, c, ncols, p):
+    """Row k of U right of its pivot column c, in [0, p), from
+    ``packed_echelon``'s ``tails[k]`` and ``invs[k]`` for a matrix of
+    ncols columns."""
+    return [v * inv % p for v in unpack(tail, ncols - 1 - c, slot_bits(p, ncols))]
 
 
 def packed_echelon(packed, rows, p):
-    """``modp_echelon`` of the matrix whose rows are given packed.
+    """``modp_echelon`` of the matrix whose rows are given packed, with
+    U left packed.
 
     ``packed[i]`` holds row i's ncols entries as ``pack`` lays them out
     at ``slot_bits(p, ncols)``, each slot below p**2; their residues mod
     p are the matrix.  ``rows`` are nrows lists of ncols zeros, which
-    receive ``modp_echelon``'s output and are swapped with ``order``.
-    ``packed`` is consumed.
+    receive ``modp_echelon``'s output left of U: the pivot value d_k at
+    c_k on row k and the multipliers L[i][k] at c_k below it.  They are
+    swapped with ``order``, and ``packed`` is consumed.  Returns
+    ``(pivots, order, tails, invs)``: ``tails[k]`` is pivot row k's
+    tail, its ncols - 1 - c_k slots right of c_k packed as ``folder``
+    leaves them, each below 2**(p.bit_length() + 1) and congruent to
+    d_k times U's entry mod p, and ``invs[k]`` is d_k's inverse mod p.
 
     Rows are eliminated packed (Dumas, Fousse and Salvy, "Simultaneous
     modular reduction and Kronecker substitution for small finite
     fields", JSC 2011).  A row carries only the columns not yet
     eliminated, the current column c in its lowest slot, so the pivot
     search and the multiplier read the low S bits of a row, whatever
-    its length.  At c the pivot row leaves the packed rows: its tail
-    (the slots right of c) is reduced, scaled by the pivot's inverse and
-    written out as its U row.  Every row below it records its multiplier
-    m, drops its lowest slot and, when m is nonzero, takes one
-    multiply-add, R = (R >> S) + (p - m) * tail, with no reduction.  A
-    column without a pivot is dropped from every row left.  Each update
-    adds less than p**2 to a slot, within the bound of ``slot_bits``.
-    Multipliers and U rows go straight into the output rows, so nothing
-    is unpacked at the end.
+    its length.  At c the pivot row leaves the packed rows, and its
+    tail (the slots right of c) is folded, not divided by d.  Every row
+    below it records its multiplier m, drops its lowest slot and, when
+    m is nonzero, takes one multiply-add, R = (R >> S) + (-m / d mod p)
+    * tail, with no reduction of R.  A column
+    without a pivot is dropped from every row left.  Each update stays
+    within the bound of ``slot_bits``.  Nothing is unpacked.
     """
     nrows = len(packed)
     ncols = len(rows[0]) if nrows else 0
-    pivots = []
+    pivots, tails, invs = [], [], []
     order = list(range(nrows))
     s = slot_bits(p, ncols)
-    sb = s // 8
     mask = (1 << s) - 1
+    fold = folder(p, ncols)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -210,21 +275,22 @@ def packed_echelon(packed, rows, p):
         x = packed[r]
         d = (x & mask) % p
         inv = pow(d, -1, p)
-        out = rows[r]
-        out[c] = d
-        out[c + 1 :] = u = [v * inv % p for v in _unpack(x >> s, ncols - 1 - c, sb)]
-        tail = pack(u, s)
+        neg = p - inv  # -1/d mod p
+        rows[r][c] = d
+        tail = fold(x >> s)
         for i in range(r + 1, nrows):
             x = packed[i]
             m = (x & mask) % p
             if m:
                 rows[i][c] = m
-                packed[i] = (x >> s) + (p - m) * tail
+                packed[i] = (x >> s) + m * neg % p * tail
             else:
                 packed[i] = x >> s
         pivots.append(c)
+        tails.append(tail)
+        invs.append(inv)
         r += 1
-    return pivots, order
+    return pivots, order, tails, invs
 
 
 def bareiss_echelon(rows):

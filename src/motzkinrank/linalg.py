@@ -11,11 +11,16 @@ prefix width from one elimination:
   is one big-integer multiply-add on a row that shrinks by a slot per
   column.  Row operations never mix columns, so cut to its first w
   columns it factors the width-w prefix, whose pivots are the ones
-  below w.  A system given as integer rows is packed by
-  ``backend.modp_echelon``; ``PrefixNullspaces.from_packed`` takes the
-  rows' residues already packed and a function that builds the integer
-  rows, which runs only when a lift, the Hadamard bound or the exact
-  route first needs them.
+  below w.  The elimination gives the pivots, the multipliers and, per
+  pivot row, its tail still packed and only folded mod p, with the
+  pivot's inverse.  The factors at the pivot columns (L, U and the
+  inverses) and the pivot block of the integer rows are read only at
+  the system's first lift, so a system whose every prefix asked is
+  certified by full rank reads none of them.  A system given as integer
+  rows is packed here; ``PrefixNullspaces.from_packed`` takes the rows'
+  residues already packed and a function that builds the integer rows,
+  which runs only when a lift, the Hadamard bound or the exact route
+  first needs them.
 * Full rank.  w pivots below column w certify that the prefix has no
   nullvector: reduction mod p can only lower the rank.  More generally
   the prefix's nullity mod p, w less those pivots, bounds its nullity
@@ -147,9 +152,8 @@ class PrefixNullspaces:
 
     def __init__(self, rows):
         _check_rectangular(rows)
+        self._factor(backend.pack_residues(rows, PRIME), len(rows[0]) if rows else 0)
         self._rows = rows
-        lu = [row[:] for row in rows]
-        self._factor(lu, *backend.modp_echelon(lu, PRIME))
 
     @classmethod
     def from_packed(cls, packed, ncols, build_rows):
@@ -160,27 +164,41 @@ class PrefixNullspaces:
         bound or the exact route needs them, so a system whose every
         prefix asked is certified by full rank never builds them."""
         self = cls.__new__(cls)
+        self._factor(packed, ncols)
         self._rows = None
         self._build_rows = build_rows
-        lu = [[0] * ncols for _ in packed]
-        self._factor(lu, *backend.packed_echelon(packed, lu, PRIME))
         return self
 
-    def _factor(self, lu, pivots, order):
-        # The square block B of pivot rows and pivot columns, and its
-        # factors mod p: B = L U with L lower (pivot values on its
-        # diagonal, inverted here) and U unit upper.  The pivot rows and
-        # B itself are read off the integer rows at the first lift.
-        p = PRIME
+    def _factor(self, packed, ncols):
+        self._ncols = ncols
         self._norms = None
         self._canonical = {}  # free column -> its verified canonical vector
         self._unlucky = None  # first free column whose lift failed
-        self._pivots = pivots
-        self._order = order
-        self._inv = [pow(lu[k][c], -1, p) for k, c in enumerate(pivots)]
-        self._lower = [[lu[k][c] for c in pivots[:k]] for k in range(len(pivots))]
-        self._upper = [[lu[k][c] for c in pivots[k + 1 :]] for k in range(len(pivots))]
-        self._block = None
+        lu = [[0] * ncols for _ in packed]
+        self._pivots, self._order, tails, invs = backend.packed_echelon(packed, lu, PRIME)
+        self._factors = lu, tails, invs  # read by _solver at the first lift
+        self._solved = None
+
+    def _solver(self):
+        """B's factors mod p, the pivot rows and B, the square block of
+        pivot rows and pivot columns.  B = L U mod p, and the factors are
+        the inverses of L's diagonal (the pivot values), L below it and
+        U above U's unit diagonal.  Read at the first lift, off the
+        elimination's multipliers and folded tails and off the integer
+        rows."""
+        if self._solved is None:
+            pivots = self._pivots
+            lu, tails, invs = self._factors
+            lower = [[lu[k][c] for c in pivots[:k]] for k in range(len(pivots))]
+            upper = []
+            for k, c in enumerate(pivots):
+                row = backend.upper_row(tails[k], invs[k], c, self._ncols, PRIME)
+                upper.append([row[c2 - c - 1] for c2 in pivots[k + 1 :]])
+            pivot_rows = [self.rows[i] for i in self._order[: len(pivots)]]
+            block = [[row[c] for c in pivots] for row in pivot_rows]
+            self._solved = invs, lower, upper, pivot_rows, block
+            self._factors = None
+        return self._solved
 
     @property
     def rows(self):
@@ -220,13 +238,10 @@ class PrefixNullspaces:
     def _lift(self, f):
         """The canonical nullvector of free column f, cut after f and
         verified, or None once the modulus passes the Hadamard limit."""
-        p, inv, lower, upper = PRIME, self._inv, self._lower, self._upper
+        p = PRIME
+        inv, lower, upper, pivot_rows, block = self._solver()
         r = bisect_left(self._pivots, f)
         cols = self._pivots[:r]
-        if self._block is None:
-            pivot_rows = [self.rows[i] for i in self._order[: len(self._pivots)]]
-            self._block = pivot_rows, [[row[c] for c in self._pivots] for row in pivot_rows]
-        pivot_rows, block = self._block
         # Solve B x = -(column f on the pivot rows), truncated to the
         # pivots below f, one p-adic digit y per step.
         res = [-row[f] for row in pivot_rows[:r]]

@@ -53,6 +53,8 @@ cell is answered by that nullity:
 
 Nullity never falls as the width grows, so an order's whole system is
 eliminated at most once, and every wider cell is read off it too.
+Past its first hit ``minimality_scan`` eliminates each order's whole
+system at once, since those heads always reach nullity 2.
 The 8 spare rows are there because the first rows are weak: row 0 is
 zero in every n^e block with e >= 1, and row 1 repeats its window in
 every block.
@@ -269,13 +271,17 @@ def _order_system(terms, k, max_degree, guard):
 _HEAD_SPARE = 8
 
 
-def _order_cells(terms, k, top, guard):
+def _order_cells(terms, k, top, guard, with_head=True):
     """The verified relation of each cell (k, d), d = 0..top in turn, or
     None: answered on the order's head of rows, or on its whole system
-    where the head's nullity is 2 or more (see the module docstring)."""
+    where the head's nullity is 2 or more (see the module docstring).
+    Without ``with_head`` every cell is read off the whole system."""
     rows = (k + 1) * (top + 1) + _HEAD_SPARE
-    head = _order_system(terms[: rows + k + guard], k, top, guard)
-    full = head if rows >= len(terms) - k - guard else None
+    full = None
+    if with_head and rows < len(terms) - k - guard:
+        head = _order_system(terms[: rows + k + guard], k, top, guard)
+    else:
+        head = full = _order_system(terms, k, top, guard)
     for d in range(top + 1):
         if full is None and head.nullity((k + 1) * (d + 1)) >= 2:
             full = _order_system(terms, k, top, guard)
@@ -369,12 +375,17 @@ class MinimalityReport:
 
 
 def minimality_scan(terms, max_order: int, max_degree: int, guard: int = 8):
-    """Try every cell of the (order, degree) grid and record the hits."""
+    """Try every cell of the (order, degree) grid and record the hits.
+
+    Every order after the first with a hit is eliminated whole, without
+    a head: a relation Q of order k0 and degree d0 gives Q and S Q at
+    each higher order, so there the head's nullity reaches 2 by degree
+    d0, which the scan reaches."""
     terms = list(terms)
     _check_terms(terms, max_order, max_degree, guard)
     hits = []
     for k in range(1, max_order + 1):
-        cells = _order_cells(terms, k, max_degree, guard)
+        cells = _order_cells(terms, k, max_degree, guard, with_head=not hits)
         hits += [(k, d) for d, rec in enumerate(cells) if rec is not None]
     return MinimalityReport(
         terms_used=len(terms),

@@ -8,7 +8,8 @@ pass/fail state of each criterion is visible at a glance.
 ``backend.modp_echelon`` must reproduce bit for bit, shared by the
 kernel's parity tests and the guessers' parity test.
 ``entrywise_packed_echelon`` is its twin with the contract of
-``backend.packed_echelon``, the elimination every LU mod p goes through.
+``backend.packed_echelon``, the elimination every LU mod p goes through,
+and ``write_upper`` checks that contract's packed U and writes it out.
 """
 
 from __future__ import annotations
@@ -77,10 +78,36 @@ def entrywise_packed_echelon(packed, rows, p):
     """``entrywise_modp_echelon`` on packed input, with
     ``backend.packed_echelon``'s contract: the slots of ``packed`` at
     ``backend.slot_bits`` are written into ``rows``, lowest slot first,
-    and eliminated there."""
+    and eliminated there; then each U row is returned packed, times its
+    pivot value, with that value's inverse, and cleared from ``rows``."""
     ncols = len(rows[0]) if rows else 0
     s = backend.slot_bits(p, ncols)
     mask = (1 << s) - 1
     for row, x in zip(rows, packed):
         row[:] = [x >> (j * s) & mask for j in range(ncols)]
-    return entrywise_modp_echelon(rows, p)
+    pivots, order = entrywise_modp_echelon(rows, p)
+    tails, invs = [], []
+    for k, c in enumerate(pivots):
+        d = rows[k][c]
+        tails.append(backend.pack([d * u % p for u in rows[k][c + 1 :]], s))
+        invs.append(pow(d, p - 2, p))
+        rows[k][c + 1 :] = [0] * (ncols - 1 - c)
+    return pivots, order, tails, invs
+
+
+def write_upper(rows, result, p):
+    """``modp_echelon``'s ``(pivots, order)`` and, in ``rows``, its U,
+    from ``backend.packed_echelon``'s ``result`` on ``rows``, after
+    checking the contract of its tails: each slot below
+    2**(p.bit_length() + 1), nothing above the last slot, and each
+    inverse that of the pivot value."""
+    pivots, order, tails, invs = result
+    ncols = len(rows[0]) if rows else 0
+    s = backend.slot_bits(p, ncols)
+    for k, c in enumerate(pivots):
+        assert rows[k][c] * invs[k] % p == 1
+        assert tails[k] >> ((ncols - 1 - c) * s) == 0
+        tail = backend.unpack(tails[k], ncols - 1 - c, s)
+        assert all(v >> (p.bit_length() + 1) == 0 for v in tail)
+        rows[k][c + 1 :] = [v * invs[k] % p for v in tail]
+    return pivots, order

@@ -4,13 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import entrywise_modp_echelon
+from conftest import entrywise_modp_echelon, write_upper
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motzkinrank
 from motzkinrank import backend
 from motzkinrank.linalg import PRIME
+
+# 2**61 - 465 beside PRIME = 2**61 - 1, and 2**31 + 11, whose fold
+# constant 2**32 - p = 2**31 - 11 makes its fold the slowest to converge.
+PRIMES = (97, PRIME, 2305843009213693487, 2147483659)
+
 
 def test_backend_selection():
     # Callers and the benchmark's spans look the kernels up on the
@@ -77,7 +82,7 @@ def _random_lu_cases(rng, p, count):
         ]
 
 
-@pytest.mark.parametrize("p", [97, PRIME, 2305843009213693487])
+@pytest.mark.parametrize("p", PRIMES)
 def test_modp_echelon_factors_its_input(p):
     # The compact output is P A = L U mod p: input row order[i] is the
     # product of row i of L (multipliers, pivot values on the diagonal)
@@ -100,6 +105,10 @@ def _assert_matches_entrywise(rows, p):
     result = backend.modp_echelon(packed, p)
     assert result == entrywise_modp_echelon(reference, p)
     assert packed == reference
+    # The same from packed_echelon's folded tails, checked and written out.
+    lu = [[0] * len(row) for row in rows]
+    direct = backend.packed_echelon(backend.pack_residues(rows, p), lu, p)
+    assert (write_upper(lu, direct, p), lu) == (result, reference)
     pivots, order = result
     assert [packed_ids[k] for k in order] == list(map(id, packed))
     assert [reference_ids[k] for k in order] == list(map(id, reference))
@@ -120,7 +129,7 @@ def _dense_full_rank(m, n, p):
     return [[p - 2 if i == j else p - 1 for j in range(n)] for i in range(m)]
 
 
-@pytest.mark.parametrize("p", [97, PRIME, 2305843009213693487])
+@pytest.mark.parametrize("p", PRIMES)
 def test_modp_echelon_matches_entrywise_loop(p):
     rng = random.Random(p + 1)
     for _ in range(30):  # rank-deficient, some with zero columns or rows
@@ -149,11 +158,11 @@ def test_modp_echelon_matches_entrywise_loop_on_a_guess_rec_system():
         for n in range(len(terms) - k - guard)
     ]
     assert (len(rows), len(rows[0])) == (102, 88)
-    for p in (97, PRIME, 2305843009213693487):
+    for p in PRIMES:
         _assert_matches_entrywise(rows, p)
 
 
-@pytest.mark.parametrize("p", [97, PRIME, 2305843009213693487])
+@pytest.mark.parametrize("p", PRIMES)
 def test_modp_echelon_reduces_out_of_range_entries(p):
     # Negative entries and entries >= p are packed as v % p, so none can
     # borrow from or carry into a neighbouring slot.
@@ -178,7 +187,7 @@ def _echelon_cases(draw):
     the columns before it (a free column wherever it falls, and its
     slots end as multiples of p, often nonzero ones), or random.
     Entries are then moved out of [0, p) by multiples of p or negated."""
-    p = draw(st.sampled_from([2, 3, 97, PRIME]))
+    p = draw(st.sampled_from([2, 3, 97, PRIME, 2147483659]))
     m, n = draw(st.integers(0, 8)), draw(st.integers(1, 8))
     starts = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
     residue = st.integers(0, p - 1)
@@ -211,6 +220,32 @@ def _echelon_cases(draw):
 def test_modp_echelon_matches_entrywise_loop_property(case):
     rows, p = case
     _assert_matches_entrywise(rows, p)
+
+
+@st.composite
+def _fold_cases(draw):
+    """(p, ncols, slots): up to 24 slot values of a packed row at
+    slot_bits(p, ncols), anywhere below 2**S, for ncols up to 300."""
+    p = draw(st.sampled_from((2, 3) + PRIMES))
+    ncols = draw(st.integers(1, 300))
+    top = (1 << backend.slot_bits(p, ncols)) - 1
+    slot = st.one_of(st.integers(0, top), st.sampled_from((0, p - 1, p, top)))
+    return p, ncols, draw(st.lists(slot, min_size=1, max_size=min(ncols, 24)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fold_cases())
+def test_fold_leaves_slots_congruent_and_below_the_bound(case):
+    # Folded as a whole packed row, every slot stays congruent to its
+    # input mod p and ends below 2**(p.bit_length() + 1), none carried
+    # into the next.
+    p, ncols, slots = case
+    s = backend.slot_bits(p, ncols)
+    folded = backend.folder(p, ncols)(backend.pack(slots, s))
+    assert folded >> (len(slots) * s) == 0
+    out = backend.unpack(folded, len(slots), s)
+    assert [v % p for v in out] == [v % p for v in slots]
+    assert max(out) < 2 ** (p.bit_length() + 1)
 
 
 def _random_small_matrix(rng):

@@ -130,10 +130,12 @@ def test_one_elimination_at_prime_lifts_720_bit_nullvector(monkeypatch):
         raise AssertionError("the modular route fell back to Bareiss")
 
     calls = []
-    echelon = backend.modp_echelon
+    echelon = backend.packed_echelon
     monkeypatch.setattr(backend, "bareiss_echelon", no_bareiss)
     monkeypatch.setattr(
-        backend, "modp_echelon", lambda rows, p: calls.append(p) or echelon(rows, p)
+        backend,
+        "packed_echelon",
+        lambda packed, rows, p: calls.append(p) or echelon(packed, rows, p),
     )
     assert nullspace_basis(rows) == exact
     assert calls == [PRIME]
@@ -271,6 +273,19 @@ def test_minimality_scan_eliminates_a_whole_system_only_at_nullity_two(monkeypat
     # nullity 1 at (5, 4), which it answers, and 2 at (5, 5), so the
     # order's 107 rows are eliminated too, once.
     assert calls == [(6 * (k + 1) + 8, 6 * (k + 1)) for k in range(1, 6)] + [(107, 36)]
+
+
+def test_minimality_scan_eliminates_orders_past_its_first_hit_whole(monkeypatch):
+    terms = mr.count_sequence(mr.WeightSpec.all_ones(1), 119)
+    calls = _count_eliminations(monkeypatch)
+    report = mr.minimality_scan(terms, max_order=4, max_degree=3)
+    assert report.hits == tuple((k, d) for k in (2, 3, 4) for d in (1, 2, 3))
+    # (rows, columns): order 1's head, 4(k + 1) columns plus 8 rows, is
+    # certified empty.  Order 2's head has nullity 1 at (2, 1), the
+    # Motzkin relation, and 2 at (2, 2), so its 110 rows are eliminated
+    # too.  That relation gives orders 3 and 4 nullity 2 from degree 1
+    # on, so each is eliminated whole, with no head.
+    assert calls == [(16, 8), (20, 12), (110, 12), (109, 16), (108, 20)]
 
 
 def test_rank4_equation_guess_eliminates_once(monkeypatch):

@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import entrywise_modp_echelon
+from conftest import entrywise_modp_echelon, write_upper
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -410,8 +410,9 @@ def _order_system_cases(draw):
 @example(([2**400 - 1, -(2**399), 5, -7, 0, 3, 1, 1], 2, 4, 1, linalg.PRIME))
 def test_packed_order_rows_eliminate_like_the_integer_rows(case):
     # Packed from residues and eliminated, an order's system gives the
-    # LU of its integer rows bit for bit: pivots, order and every entry,
-    # as modp_echelon and the entry-by-entry oracle give it.
+    # LU of its integer rows bit for bit: pivots, order, multipliers and,
+    # written out from the folded tails, U, as modp_echelon and the
+    # entry-by-entry oracle give it.
     terms, k, d, guard, p = case
     ncols = (k + 1) * (d + 1)
     rows = recurrence._order_rows(terms, k, d, guard)
@@ -422,7 +423,7 @@ def test_packed_order_rows_eliminate_like_the_integer_rows(case):
     assert all(v < p * p for row in slots for v in row)
     assert [[v % p for v in row] for row in slots] == [[v % p for v in row] for row in rows]
     lu = [[0] * ncols for _ in packed]
-    result = backend.packed_echelon(packed, lu, p)
+    result = write_upper(lu, backend.packed_echelon(packed, lu, p), p)
     by_rows, oracle = [row[:] for row in rows], [row[:] for row in rows]
     assert (result, lu) == (backend.modp_echelon(by_rows, p), by_rows)
     assert (result, lu) == (entrywise_modp_echelon(oracle, p), oracle)
