@@ -116,9 +116,8 @@ class AlgebraicEquation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AlgebraicEquation":
-        coeffs = tuple(tuple(int(v) for v in p) for p in data["coeffs"])
-        eq = cls(coeffs)
-        if "y_degree" in data and eq.y_degree != int(data["y_degree"]):
+        eq = cls(intpoly.polys_from_json(data["coeffs"]))
+        if "y_degree" in data and eq.y_degree != intpoly.exact_from_json(data["y_degree"]):
             raise ValueError(
                 f"stated y_degree {data['y_degree']} does not match "
                 f"coefficients (degree {eq.y_degree})"

@@ -4,8 +4,12 @@ Every subcommand is a thin adapter over the library: parse arguments,
 call one operation, render the result.  Output is JSON by default
 (big integers always as decimal strings), with ``--format csv`` or
 ``--format plain`` where a flat rendering makes sense.  ``reproduce``
-re-derives the embedded reference fixtures end to end and diffs the
-results against the stored transcriptions.
+runs the paper's claims from ``motzkinrank.claims`` and prints their
+report lines.
+
+Library names are read through the package (``mr.count_paths_dp``),
+which loads a module on first use, so a subcommand loads only the
+modules it calls: ``count`` loads no solver or guesser.
 
 Exit codes: 0 success, 1 domain error or failed verification, 2 usage
 error.
@@ -21,19 +25,9 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import counting, genfunc, intpoly, published, recurrence
-from .algebraic import (
-    AlgebraicEquation,
-    check_shape_conjecture,
-    guess_algebraic_equation,
-    multiply_equations,
-    reference_equation,
-    reference_equations,
-    verify_algebraic_equation,
-)
-from .counting import WeightSpec
-from .errors import InvalidSpec, MotzkinError
-from .paths import DEFAULT_MAX_LENGTH, enumerate_paths, recoloring_report
+import motzkinrank as mr
+
+from . import claims
 
 SERIES_ORDER_DEFAULT = 64
 TERMS_DEFAULT = 120
@@ -42,23 +36,21 @@ GUARD_DEFAULT = 8
 
 def _weights_arg(text):
     try:
-        return WeightSpec.parse(text)
-    except InvalidSpec as exc:
+        return mr.WeightSpec.parse(text)
+    except mr.InvalidSpec as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _nonneg_int(text, least=0):
+    v = int(text)
+    if v < least:
+        kind = "positive" if least else "nonnegative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {v}")
+    return v
+
+
 def _positive_int(text):
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
-    return v
-
-
-def _nonneg_int(text):
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {v}")
-    return v
+    return _nonneg_int(text, least=1)
 
 
 def _file_arg(parse):
@@ -78,12 +70,6 @@ def _file_arg(parse):
     return read
 
 
-_BUILTIN_RECURRENCES = {
-    "motzkin": recurrence.motzkin_recurrence,
-    "prodinger": recurrence.prodinger_recurrence,
-}
-
-
 def _add_spec_args(sub):
     given = sub.add_mutually_exclusive_group()
     given.add_argument(
@@ -95,7 +81,7 @@ def _add_spec_args(sub):
     given.add_argument(
         "--weights-file",
         dest="weights",
-        type=_file_arg(lambda fh: WeightSpec.parse(fh.read().strip())),
+        type=_file_arg(lambda fh: mr.WeightSpec.parse(fh.read().strip())),
         metavar="PATH",
         help="file containing one weight spec in the --weights grammar",
     )
@@ -107,22 +93,20 @@ def _add_spec_args(sub):
     )
 
 
-def _resolve_spec(args) -> WeightSpec:
+def _resolve_spec(args):
     spec = args.weights
     if spec is None:
         if args.rank is None:
             args._parser.error("a weight spec is required (--weights, --weights-file, or --rank)")
-        return WeightSpec.all_ones(args.rank)
+        return mr.WeightSpec.all_ones(args.rank)
     if args.rank is not None and args.rank != spec.rank:
-        args._parser.error(
-            f"--rank {args.rank} contradicts the weight spec (rank {spec.rank})"
-        )
+        args._parser.error(f"--rank {args.rank} contradicts the weight spec (rank {spec.rank})")
     return spec
 
 
 def _terms(args) -> list[int]:
     """The dp counts n = 0..terms-1 that a recurrence is fitted to or checked on."""
-    return counting.count_sequence(_resolve_spec(args), args.terms - 1, args.start, args.end)
+    return mr.count_sequence(_resolve_spec(args), args.terms - 1, args.start, args.end)
 
 
 def _emit(args, payload, plain_lines=None, csv_rows=None):
@@ -136,8 +120,7 @@ def _emit(args, payload, plain_lines=None, csv_rows=None):
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
         lines = plain_lines if plain_lines is not None else [json.dumps(payload)]
@@ -156,11 +139,9 @@ def _emit(args, payload, plain_lines=None, csv_rows=None):
 
 
 def _cmd_count(args):
-    spec = _resolve_spec(args)
-    value = counting.count_paths_dp(spec, args.n, args.start, args.end)
-    payload = {"n": args.n, "value": str(value)}
-    if args.start or args.end:
-        payload = {"n": args.n, "start": args.start, "end": args.end, "value": str(value)}
+    value = mr.count_paths_dp(_resolve_spec(args), args.n, args.start, args.end)
+    ends = {"start": args.start, "end": args.end} if args.start or args.end else {}
+    payload = {"n": args.n, **ends, "value": str(value)}
     _emit(
         args,
         payload,
@@ -171,8 +152,7 @@ def _cmd_count(args):
 
 
 def _cmd_seq(args):
-    spec = _resolve_spec(args)
-    terms = counting.count_sequence(spec, args.n_max, args.start, args.end)
+    terms = mr.count_sequence(_resolve_spec(args), args.n_max, args.start, args.end)
     _emit(
         args,
         [str(t) for t in terms],
@@ -183,15 +163,16 @@ def _cmd_seq(args):
 
 
 def _cmd_enumerate(args):
-    spec = _resolve_spec(args)
-    paths = enumerate_paths(
-        spec,
+    # Without --max-length the library's own length guard applies.
+    length = {} if args.max_length is None else {"max_length": args.max_length}
+    paths = mr.enumerate_paths(
+        _resolve_spec(args),
         args.n,
         start=args.start,
         end=args.end,
         colored=not args.uncolored,
         max_paths=args.max_paths,
-        max_length=args.max_length,
+        **length,
     )
     texts = [p.to_text() for p in paths]
     _emit(
@@ -207,7 +188,7 @@ def _cmd_series(args):
     spec = _resolve_spec(args)
     if not (0 <= args.i < spec.rank and 0 <= args.j < spec.rank):
         args._parser.error(f"--i and --j must lie in 0..{spec.rank - 1}")
-    family = genfunc.solve_series(spec, args.order, symmetric=spec.is_all_ones)
+    family = mr.solve_series(spec, args.order, symmetric=spec.is_all_ones)
     series = family[args.i, args.j]
     _emit(
         args,
@@ -220,9 +201,9 @@ def _cmd_series(args):
 
 def _cmd_guess_algeq(args):
     spec = _resolve_spec(args)
-    series = genfunc.generating_series(spec, args.order)
+    series = mr.generating_series(spec, args.order)
     max_y = args.max_y_degree or 2**spec.rank
-    report = guess_algebraic_equation(
+    report = mr.guess_algebraic_equation(
         series, max_y, max_x_degree=args.max_x_degree, guard=args.guard
     )
     payload = {
@@ -233,12 +214,10 @@ def _cmd_guess_algeq(args):
     }
     if report.found:
         payload.update(
-            {
-                "ansatz": report.ansatz,
-                "verified_order": report.verified_order,
-                "equation": report.equation.to_json_dict(),
-                "pretty": str(report.equation),
-            }
+            ansatz=report.ansatz,
+            verified_order=report.verified_order,
+            equation=report.equation.to_json_dict(),
+            pretty=str(report.equation),
         )
         lines = [str(report.equation)]
     else:
@@ -249,9 +228,9 @@ def _cmd_guess_algeq(args):
 
 def _cmd_verify_algeq(args):
     spec = _resolve_spec(args)
-    eq = args.equation_file or reference_equation(args.reference)
-    series = genfunc.generating_series(spec, args.order)
-    ok = verify_algebraic_equation(eq, series)
+    eq = args.equation_file or mr.reference_equation(args.reference)
+    series = mr.generating_series(spec, args.order)
+    ok = mr.verify_algebraic_equation(eq, series)
     _emit(
         args,
         {"verified": ok, "order": args.order, "y_degree": eq.y_degree},
@@ -265,7 +244,7 @@ def _cmd_verify_algeq(args):
 
 def _cmd_guess_rec(args):
     terms = _terms(args)
-    rec = recurrence.guess_recurrence(
+    rec = mr.guess_recurrence(
         terms, max_order=args.max_order, max_degree=args.max_degree, guard=args.guard
     )
     if rec is None:
@@ -287,9 +266,9 @@ def _cmd_guess_rec(args):
 
 
 def _cmd_verify_rec(args):
-    rec = args.recurrence_file or _BUILTIN_RECURRENCES[args.builtin]()
+    rec = args.recurrence_file or getattr(mr, f"{args.builtin}_recurrence")()
     terms = _terms(args)
-    ok = recurrence.verify_recurrence(rec, terms)
+    ok = mr.verify_recurrence(rec, terms)
     _emit(
         args,
         {"verified": ok, "terms": len(terms), "order": rec.order, "degree": rec.degree},
@@ -302,7 +281,7 @@ def _cmd_verify_rec(args):
 
 
 def _cmd_scan_min(args):
-    report = recurrence.minimality_scan(
+    report = mr.minimality_scan(
         _terms(args), max_order=args.max_order, max_degree=args.max_degree, guard=args.guard
     )
     payload = {
@@ -327,7 +306,7 @@ def _cmd_scan_min(args):
 
 
 def _cmd_biject(args):
-    report = recoloring_report(args.u, args.level, args.d, args.n, max_paths=args.max_paths)
+    report = mr.recoloring_report(args.u, args.level, args.d, args.n, max_paths=args.max_paths)
     payload = {**asdict(report), "is_bijection": report.is_bijection}
     lines = [
         f"({args.u};{args.level};{args.d}) n={args.n}: domain {report.domain_size}, "
@@ -339,139 +318,12 @@ def _cmd_biject(args):
     return 0 if report.is_bijection else 1
 
 
-# -------------------------------------------------------------- reproduce
-
-
-def _diff_terms(name, got, expected, lines):
-    hits = sum(1 for a, b in zip(got, expected) if a == b)
-    lines.append(f"{name}: {hits}/{len(expected)} terms match")
-    if hits != len(expected):
-        for idx, (a, b) in enumerate(zip(got, expected), start=1):
-            if a != b:
-                lines.append(f"  n={idx}: computed {a}, embedded {b}")
-        return False
-    return True
-
-
-def _rep_table(rank):
-    expected = published.TABLES[rank]
-    spec = WeightSpec.all_ones(rank)
-    lines = [f"rank-{rank} all-ones counts, n = 1..{len(expected)}"]
-    dp = counting.count_sequence(spec, len(expected))[1:]
-    ok = _diff_terms("dp", dp, expected, lines)
-    ser = list(genfunc.generating_series(spec, len(expected) + 1).coeffs[1:])
-    ok = _diff_terms("series", ser, expected, lines) and ok
-    return ok, lines
-
-
-def _rep_algeq(rank):
-    guess_order = 170 if rank == 4 else 60
-    verify_order = 120
-    solve_order = max(guess_order, verify_order)
-    spec = WeightSpec.all_ones(rank)
-    series = genfunc.generating_series(spec, solve_order)
-    lines = [f"rank-{rank} annihilating equation (guess on {guess_order} terms)"]
-    ok = True
-
-    report = guess_algebraic_equation(series.truncate(guess_order), 2**rank)
-    if not report.found:
-        lines.append("guesser found nothing within the 2^rank bound: FAIL")
-        return False, lines
-    eq = report.equation
-    lines.append(f"guessed y-degree {eq.y_degree} ({report.ansatz} ansatz)")
-
-    refs = reference_equations(rank)
-    match = eq in refs
-    lines.append(
-        "guessed equation matches the embedded transcription"
-        if match
-        else "guessed equation DIFFERS from the embedded transcription (recorded)"
-    )
-    if rank <= 2:
-        ok = ok and match  # for ranks 1 and 2 exact rediscovery is required
-
-    v_guessed = verify_algebraic_equation(eq, series, verify_order)
-    lines.append(f"guessed equation verifies at order {verify_order}: {v_guessed}")
-    ok = ok and v_guessed
-    for ref in refs:
-        v_ref = verify_algebraic_equation(ref, series, verify_order)
-        lines.append(
-            f"embedded y-degree {ref.y_degree} equation verifies at order "
-            f"{verify_order}: {v_ref}"
-        )
-        ok = ok and v_ref
-
-    shape = check_shape_conjecture(eq, rank)
-    lines.append(f"shape (y-degree 2^{rank}, a_0 = 1, deg a_i <= i): {shape}")
-    ok = ok and shape
-
-    if rank == 2:
-        sextic, quartic = refs
-        one_plus_xy = AlgebraicEquation(((1,), (0, 1)))
-        product = multiply_equations(multiply_equations(one_plus_xy, one_plus_xy), quartic)
-        factor_ok = product == sextic
-        lines.append(f"(1 + xy)^2 * quartic equals the sextic: {factor_ok}")
-        ok = ok and factor_ok
-    return ok, lines
-
-
-def _rep_prodinger():
-    # The embedded seven-term P is not the smallest relation: the guess
-    # is an order-5, degree-4 Q, and P is the left multiple
-    # (n + 5) * P = (S + 5) * Q, with S the shift m_n -> m_{n+1}.
-    spec = WeightSpec.all_ones(2)
-    terms = counting.count_sequence(spec, TERMS_DEFAULT - 1)
-    embedded = recurrence.prodinger_recurrence()
-    lines = [f"rank-2 seven-term relation P (guess on {len(terms)} dp terms)"]
-
-    guessed = recurrence.guess_recurrence(terms, max_order=8, max_degree=5)
-    if guessed is None:
-        lines.append("guesser found no relation: FAIL")
-        return False, lines
-    lines.append(f"guessed order {guessed.order}, degree {guessed.degree}")
-    ok = (guessed.order, guessed.degree) == (5, 4) and recurrence.verify_recurrence(
-        guessed, terms
-    )
-    lines.append(f"guessed relation Q is a verified order-5, degree-4 relation: {ok}")
-
-    certificate = tuple(
-        intpoly.mul((5, 1), p) for p in embedded.coeff_polys
-    ) == recurrence.shift_left_multiply(5, guessed.coeff_polys)
-    lines.append(f"certificate (n+5)*P = (S+5)*Q, S the shift m_n -> m_{{n+1}}: {certificate}")
-    ok = ok and certificate
-
-    scan = recurrence.minimality_scan(terms, max_order=5, max_degree=5)
-    frontier = scan.frontier == ((5, 4),)
-    lines.append(
-        f"scan frontier for order <= 5, degree <= 5: {scan.frontier}, "
-        f"expected ((5, 4),): {frontier}"
-    )
-    ok = ok and frontier
-
-    extended = recurrence.apply_recurrence(embedded, terms[:6], 101)
-    dp = counting.count_sequence(spec, 100)
-    ok = _diff_terms("extension to n = 100 vs dp", extended[1:], dp[1:], lines) and ok
-    return ok, lines
-
-
-_REPRODUCE_TARGETS = {
-    "table1": lambda: _rep_table(2),
-    "table2": lambda: _rep_table(3),
-    "table3": lambda: _rep_table(4),
-    "algeq-r1": lambda: _rep_algeq(1),
-    "algeq-r2": lambda: _rep_algeq(2),
-    "algeq-r3": lambda: _rep_algeq(3),
-    "algeq-r4": lambda: _rep_algeq(4),
-    "prodinger": _rep_prodinger,
-}
-
-
 def _cmd_reproduce(args):
-    targets = sorted(_REPRODUCE_TARGETS) if args.target == "all" else [args.target]
+    targets = sorted(claims.TARGETS) if args.target == "all" else [args.target]
     ok = True
     lines = []
     for name in targets:
-        target_ok, target_lines = _REPRODUCE_TARGETS[name]()
+        target_ok, target_lines = claims.TARGETS[name]()
         target_lines.append(f"reproduce {name}: {'OK' if target_ok else 'MISMATCH'}")
         lines.extend(target_lines)
         ok = ok and target_ok
@@ -564,14 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--max-paths",
         type=_positive_int,
-        default=None,
         help="override the output-size guard (default 10^6 or $MOTZKIN_MAX_ENUM)",
     )
     sub.add_argument(
         "--max-length",
         type=_nonneg_int,
-        default=DEFAULT_MAX_LENGTH,
-        help=f"length guard (default {DEFAULT_MAX_LENGTH})",
+        help="length guard (default: the library's, motzkinrank.paths.DEFAULT_MAX_LENGTH)",
     )
 
     sub = new_sub(
@@ -594,13 +444,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--max-y-degree",
         type=_positive_int,
-        default=None,
         help="y-degree bound (default 2^rank)",
     )
     sub.add_argument(
         "--max-x-degree",
         type=_nonneg_int,
-        default=None,
         help="uniform x-degree bound (default: per-coefficient bound i)",
     )
 
@@ -610,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     given = sub.add_mutually_exclusive_group(required=True)
     given.add_argument(
         "--equation-file",
-        type=_file_arg(lambda fh: AlgebraicEquation.from_json_dict(json.load(fh))),
+        type=_file_arg(lambda fh: mr.AlgebraicEquation.from_json_dict(json.load(fh))),
         metavar="PATH",
         help="equation as JSON",
     )
@@ -634,12 +482,12 @@ def _build_parser() -> argparse.ArgumentParser:
     given = sub.add_mutually_exclusive_group(required=True)
     given.add_argument(
         "--recurrence-file",
-        type=_file_arg(lambda fh: recurrence.Recurrence.from_json_dict(json.load(fh))),
+        type=_file_arg(lambda fh: mr.Recurrence.from_json_dict(json.load(fh))),
         metavar="PATH",
         help="recurrence as JSON",
     )
     given.add_argument(
-        "--builtin", choices=_BUILTIN_RECURRENCES, help="use an embedded reference relation"
+        "--builtin", choices=("motzkin", "prodinger"), help="use an embedded reference relation"
     )
 
     new_sub(
@@ -667,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default_format="plain",
         spec=False,
     )
-    sub.add_argument("target", choices=sorted(_REPRODUCE_TARGETS) + ["all"])
+    sub.add_argument("target", choices=sorted(claims.TARGETS) + ["all"])
 
     return parser
 
@@ -682,11 +530,8 @@ def main(argv=None) -> int:
             args._parser.error(f"cannot write --out: no directory for {args.out!r}")
         return args.func(args)
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    except MotzkinError as exc:
+        return exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 2
+    except mr.MotzkinError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

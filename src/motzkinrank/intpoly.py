@@ -20,6 +20,25 @@ def trim(coeffs) -> tuple:
     return tuple(c)
 
 
+def exact_from_json(v, kind=int):
+    """One value as ``to_json_dict`` writes it: an int that is no bool,
+    or the exact string ``str`` gives for a ``kind`` (int, or Fraction
+    for a series).  Anything else, a float or ``" 3"`` say, raises
+    ValueError rather than being rounded or coerced."""
+    if type(v) is int:
+        return v
+    try:
+        if isinstance(v, str) and str(value := kind(v)) == v:
+            return value
+    except ZeroDivisionError:  # Fraction("1/0")
+        pass
+    raise ValueError(f"expected an int or an exact {kind.__name__} string, got {v!r}")
+
+
+def polys_from_json(polys) -> tuple:
+    return tuple(tuple(exact_from_json(v) for v in p) for p in polys)
+
+
 def degree(p) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 

@@ -137,9 +137,8 @@ class Recurrence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Recurrence":
-        polys = tuple(tuple(int(v) for v in p) for p in data["coeff_polys"])
-        rec = cls(polys)
-        if "order" in data and rec.order != int(data["order"]):
+        rec = cls(intpoly.polys_from_json(data["coeff_polys"]))
+        if "order" in data and rec.order != intpoly.exact_from_json(data["order"]):
             raise ValueError(
                 f"stated order {data['order']} does not match "
                 f"coefficients (order {rec.order})"

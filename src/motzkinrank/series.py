@@ -186,8 +186,8 @@ class CoeffSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoeffSeries":
-        coeffs = [Fraction(s) for s in data["coeffs"]]
-        return cls(coeffs, order=int(data["order"]))
+        coeffs = [intpoly.exact_from_json(v, Fraction) for v in data["coeffs"]]
+        return cls(coeffs, order=intpoly.exact_from_json(data["order"]))
 
 
 def catalan_series(order: int) -> CoeffSeries:

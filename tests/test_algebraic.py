@@ -74,6 +74,19 @@ def test_json_roundtrip():
     data["y_degree"] = 3
     with pytest.raises(ValueError):
         AlgebraicEquation.from_json_dict(data)
+    # A plain int reads as written. Any other number, or a string that
+    # str() gives for no int, is refused rather than truncated or coerced.
+    quad = {"y_degree": 2, "coeffs": [["1"], ["-1", "1"], ["0", "0", 1]]}
+    assert AlgebraicEquation.from_json_dict(quad) == mr.reference_equation(1)
+    for bad in (1.7, 1.0, True, " 1", "1.0", "0x1"):
+        quad["coeffs"][2][2] = bad
+        with pytest.raises(ValueError, match="expected an int|invalid literal"):
+            AlgebraicEquation.from_json_dict(quad)
+    quad["coeffs"][2][2] = "1"
+    for bad in (2.0, "02", True):
+        quad["y_degree"] = bad
+        with pytest.raises(ValueError, match="expected an int"):
+            AlgebraicEquation.from_json_dict(quad)
 
 
 def test_str_rendering():

@@ -228,6 +228,13 @@ def test_verify_algeq_below_the_x_degree_floor_exits_1(capsys):
         (("verify-rec",), "--recurrence-file", '{"order": 2,', "JSONDecodeError: Expecting"),
         (("verify-rec",), "--recurrence-file", None, "FileNotFoundError: [Errno 2]"),
         (("count", "--n", "3"), "--weights-file", "1;1", "InvalidSpec: weight text must have"),
+        # A float was truncated, and the file then verified.
+        (("verify-rec",), "--recurrence-file",
+         '{"order": 2, "coeff_polys": [[-3.9, "-3"], ["-5", "-2"], ["4", "1"]]}',
+         "ValueError: expected an int or an exact int string, got -3.9"),
+        (("verify-algeq",), "--equation-file",
+         '{"y_degree": 2, "coeffs": [["1"], ["-1", "1"], [0, 0, 1.7]]}',
+         "ValueError: expected an int or an exact int string, got 1.7"),
     ],
 )
 def test_bad_input_file_exits_2_naming_the_file_and_the_cause(
@@ -412,6 +419,8 @@ def test_reproduce_all_aggregates(capsys):
     assert report.count(": OK") == 8
     assert ": MISMATCH" not in report
     assert "reproduce prodinger: OK" in report
+    # Every line of every target, as the checks gave them inside the CLI.
+    assert payload["report"] == (PINNED / "reproduce_all.txt").read_text().splitlines()
 
 
 def test_reproduce_seven_term_reports_shorter_relation(capsys):

@@ -41,6 +41,29 @@ def test_a_fresh_count_loads_four_modules():
     ]
 
 
+def test_a_cli_count_loads_no_solver_or_guesser():
+    # The CLI reads library names through the package, and the reproduce
+    # targets it lists come from a module that loads no library code.
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from motzkinrank import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['count', '--rank', '1', '--n', '4'])\n"
+        "print(json.dumps([code, " + LOADED + "]))"
+    )
+    assert loaded == [
+        0,
+        [
+            "motzkinrank",
+            "motzkinrank.backend",
+            "motzkinrank.claims",
+            "motzkinrank.cli",
+            "motzkinrank.counting",
+            "motzkinrank.errors",
+        ],
+    ]
+
+
 def test_a_submodule_name_imports_that_submodule():
     got = _fresh(
         "import json, sys\n"

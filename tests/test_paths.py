@@ -328,15 +328,25 @@ FAULTY_MAPS = {
 }
 
 
+# The path-by-path route walks every domain and codomain path, so each
+# case keeps to lengths whose DP-predicted count stays within PATH_BUDGET.
+PATH_BUDGET = 2 * 10**4
+
+
+@st.composite
+def _recoloring_cases(draw):
+    """(u, level, d, n) with n <= 6 and at most PATH_BUDGET domain paths
+    at every length up to n."""
+    u, level, d = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    counts = mr.count_sequence(mr.WeightSpec.rank1(u, level, d), 6)
+    n_max = next((n - 1 for n, c in enumerate(counts) if c > PATH_BUDGET), 6)
+    return u, level, d, draw(st.integers(0, n_max))
+
+
 @settings(max_examples=50, deadline=None)
-@given(
-    u=st.integers(0, 4),
-    level=st.integers(0, 3),
-    d=st.integers(0, 4),
-    n=st.integers(0, 6),
-)
-def test_recoloring_report_matches_path_by_path_route(u, level, d, n):
-    assert mr.recoloring_report(u, level, d, n) == _report_by_paths(u, level, d, n)
+@given(_recoloring_cases())
+def test_recoloring_report_matches_path_by_path_route(case):
+    assert mr.recoloring_report(*case) == _report_by_paths(*case)
 
 
 # At n = 1 no path has a pair, so no faulty pair map can show.

@@ -124,6 +124,22 @@ def test_json_roundtrip():
     data["order"] = 5
     with pytest.raises(ValueError):
         Recurrence.from_json_dict(data)
+    # A plain int reads as written. Any other number, or a string that
+    # str() gives for no int, is refused rather than truncated or coerced.
+    data = rec.to_json_dict()
+    data["coeff_polys"][0][0] = 3750
+    assert Recurrence.from_json_dict(data) == rec
+    for bad in (3750.9, 3750.0, True, " 3750", "03750", "3750.0", "3_750"):
+        data["coeff_polys"][0][0] = bad
+        with pytest.raises(ValueError, match="expected an int|invalid literal"):
+            Recurrence.from_json_dict(data)
+    data["coeff_polys"][0][0] = "3750"
+    for bad in (6.0, "06", "+6"):
+        data["order"] = bad
+        with pytest.raises(ValueError, match="expected an int"):
+            Recurrence.from_json_dict(data)
+    with pytest.raises(ValueError, match="expected an int"):
+        Recurrence.from_json_dict({"order": True, "coeff_polys": [["-3"], ["1"]]})
 
 
 def test_guess_recovers_motzkin(motzkin):

@@ -94,6 +94,15 @@ def test_json_roundtrip():
     assert data["order"] == 5
     assert data["coeffs"][1] == "1/2"
     assert CoeffSeries.from_json_dict(data) == s
+    # Plain ints and the strings str() gives for an int or a Fraction read
+    # as written; a float never becomes Fraction(0.1), nor a bool 0 or 1.
+    assert CoeffSeries.from_json_dict({"order": 5, "coeffs": [1, "1/2", -3]}) == s
+    for bad in (0.1, 1.0, False, "0.5", "2/4", "3/1", " 1/2", "1e3", "1/0"):
+        with pytest.raises(ValueError, match="expected an int|Invalid literal"):
+            CoeffSeries.from_json_dict({"order": 5, "coeffs": [1, bad]})
+    for bad in (5.0, True, "05"):
+        with pytest.raises(ValueError, match="expected an int"):
+            CoeffSeries.from_json_dict({"order": bad, "coeffs": [1]})
 
 
 def test_integrality_and_equality():
