@@ -22,6 +22,7 @@ constant coefficient 1, and deg a_i <= i, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from . import backend, intpoly, linalg, published
@@ -55,21 +56,11 @@ class AlgebraicEquation:
         return g
 
     def normalized(self) -> "AlgebraicEquation":
-        """Content 1; sign fixed so a_0(0) > 0 when a_0(0) != 0 (first
-        nonzero coefficient positive otherwise)."""
+        """Content 1; sign fixed so the first nonzero coefficient, a_0(0)
+        whenever a_0(0) != 0, is positive."""
         g = self.content()
         polys = [tuple(v // g for v in p) for p in self.coeffs]
-        lead = 0
-        for p in polys:
-            for v in p:
-                if v:
-                    lead = v
-                    break
-            if lead:
-                break
-        if polys[0] and polys[0][0]:
-            lead = polys[0][0]
-        if lead < 0:
+        if next(v for p in polys for v in p if v) < 0:
             polys = [intpoly.neg(p) for p in polys]
         return AlgebraicEquation(tuple(polys))
 
@@ -176,6 +167,15 @@ def _ansatz_system(f_pows, order, bounds):
     return cols, linalg.PrefixNullspaces([linalg.clear_denominators(row) for row in rows])
 
 
+def _candidate(cols, bounds, vec):
+    """The normalized equation with vec's entry as the coefficient of
+    x^j y^i for each column (i, j)."""
+    polys = [[0] * (b + 1) for b in bounds]
+    for (i, j), v in zip(cols, vec):
+        polys[i][j] = v
+    return AlgebraicEquation(tuple(map(tuple, polys))).normalized()
+
+
 def guess_algebraic_equation(
     series: CoeffSeries,
     max_y_degree: int,
@@ -185,39 +185,36 @@ def guess_algebraic_equation(
     """Search for the minimal-y-degree annihilator within the bounds.
 
     Scans y-degrees 1..max_y_degree in order.  For each degree D the
-    per-coefficient ansatz deg a_i <= min(i, max_x_degree) is tried
-    first (the shape all known equations here have); if it yields
-    nothing and a uniform x-bound was given, deg a_i <= max_x_degree is
-    retried.  Each of the two ansatz families is one system, built for
-    its largest y-degree and eliminated once; every y-degree is a
-    column prefix of it.  Candidate nullvectors are accepted only after
-    exact substitution back into the series, and the scan order makes
-    the returned y-degree minimal within the searched space.
+    per-degree ansatz deg a_i <= min(i, max_x_degree) is tried first
+    (the shape all known equations here have); if it yields nothing and
+    a positive x-bound was given, the uniform ansatz deg a_i <=
+    max_x_degree is tried (at bound 0 the two are the same).  Each
+    family is one system, built on first use for its largest y-degree
+    and eliminated once; every y-degree is a column prefix of it.
+    Candidate nullvectors are accepted only after exact substitution
+    back into the series, and the scan order makes the returned y-degree
+    minimal within the searched space.
 
-    The series must have order >= unknowns + guard for the initial
-    ansatz; degrees whose ansatz would exceed the available order are
-    skipped (the report's bounds say what was actually searched).
+    The series must have order >= unknowns + guard for the smallest
+    per-degree ansatz.  Each family is trimmed to the y-degrees whose
+    ansatz leaves ``guard`` spare coefficients, and the larger ones are
+    skipped; the report echoes the bounds as given, not as trimmed.
     """
     check_sizes("max_y_degree", max_y_degree, least=1)
     check_sizes("guard", guard)
     order = series.order
-
-    def shape_bounds(dd):
-        if max_x_degree is None:
-            return [i for i in range(dd + 1)]
-        return [min(i, max_x_degree) for i in range(dd + 1)]
-
-    first_unknowns = sum(b + 1 for b in shape_bounds(1))
+    per_degree = [
+        i if max_x_degree is None else min(i, max_x_degree) for i in range(max_y_degree + 1)
+    ]
+    first_unknowns = sum(b + 1 for b in per_degree[:2])
     if order < first_unknowns + guard:
         raise InsufficientOrder(
             f"series order {order} cannot support even the smallest ansatz "
             f"({first_unknowns} unknowns + guard {guard})"
         )
 
-    # Each family's system is built for the largest y-degree that
-    # leaves ``guard`` spare coefficients.
-    families = {"per-degree": shape_bounds(max_y_degree)}
-    if max_x_degree is not None:
+    families = {"per-degree": per_degree}
+    if max_x_degree is not None and max_x_degree > 0:
         families["uniform"] = [max_x_degree] * (max_y_degree + 1)
     for bounds in families.values():
         while sum(b + 1 for b in bounds) + guard > order:
@@ -225,50 +222,31 @@ def guess_algebraic_equation(
     f = list(series.coeffs)
     f_pows = [[1] + [0] * (order - 1)]
     systems = {}
-
-    def candidates(ansatz, dd):
+    for dd, ansatz in product(range(1, max_y_degree + 1), families):
         bounds = families[ansatz]
+        if len(bounds) <= dd:
+            continue
         if ansatz not in systems:
             while len(f_pows) < len(bounds):
                 f_pows.append(backend.conv_trunc(f_pows[-1], f, order))
             systems[ansatz] = _ansatz_system(f_pows, order, bounds)
         cols, system = systems[ansatz]
-        w = sum(b + 1 for b in bounds[: dd + 1])
-        for vec in system.basis(w, max_vectors=8):
-            polys = [[0] * (b + 1) for b in bounds[: dd + 1]]
-            for (i, j), v in zip(cols, vec):
-                polys[i][j] = v
-            if not any(any(p) for p in polys):
-                continue
-            eq = AlgebraicEquation(tuple(tuple(p) for p in polys)).normalized()
-            if verify_algebraic_equation(eq, series):
-                return eq
-        return None
-
-    for dd in range(1, max_y_degree + 1):
-        attempts = ["per-degree"]
-        if max_x_degree is not None and families["uniform"][: dd + 1] != shape_bounds(dd):
-            attempts.append("uniform")
-        for ansatz in attempts:
-            if len(families[ansatz]) <= dd:
-                continue
-            eq = candidates(ansatz, dd)
-            if eq is not None:
-                return GuessReport(
-                    found=True,
-                    equation=eq,
-                    y_degree_bound=max_y_degree,
-                    x_degree_bound=max_x_degree,
-                    guard=guard,
-                    ansatz=ansatz,
-                    verified_order=order,
-                )
+        bounds = bounds[: dd + 1]
+        vecs = system.basis(sum(b + 1 for b in bounds), max_vectors=8)
+        eqs = (_candidate(cols, bounds, vec) for vec in vecs if any(vec))
+        eq = next((eq for eq in eqs if verify_algebraic_equation(eq, series)), None)
+        if eq is not None:
+            break
+    else:
+        eq = ansatz = None
     return GuessReport(
-        found=False,
-        equation=None,
+        found=eq is not None,
+        equation=eq,
         y_degree_bound=max_y_degree,
         x_degree_bound=max_x_degree,
         guard=guard,
+        ansatz=ansatz,
+        verified_order=None if eq is None else order,
     )
 
 

@@ -42,7 +42,10 @@ def _weights_arg(text):
 
 
 def _nonneg_int(text, least=0):
-    v = int(text)
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if v < least:
         kind = "positive" if least else "nonnegative"
         raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {v}")
@@ -522,6 +525,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # Python 3.11+ caps int <-> str at 4300 digits; counts print in full.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if args.format == "csv" and not args._csv:
@@ -534,6 +541,9 @@ def main(argv=None) -> int:
     except mr.MotzkinError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main_entry():

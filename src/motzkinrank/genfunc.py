@@ -16,8 +16,11 @@ if there is none); the third splits a 0->j path at its last visit to 0.
 
 For the all-ones spec, reversing paths swaps A[i,j] with A[j,i], so the
 system collapses to r(r+1)/2 equations in the unknowns with i >= j
-(``symmetric=True``).  ``generating_series`` and the CLI solve the
-reduced system whenever the spec is all-ones; the series are the same.
+(``symmetric=True``).  The reduction is one pass over the full system:
+every label is mirrored to i >= j, equal terms merge, and the last
+equation of each label is kept, so A[j,0] keeps its 0 -> j equation.
+``generating_series`` and the CLI solve the reduced system whenever the
+spec is all-ones; the series are the same.
 
 ``solve_series`` finds all A[i,j] as truncated integer series in
 ``order`` ordered sweeps.  The system is well-founded: the only term
@@ -44,54 +47,63 @@ Label = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class EquationTerm:
-    """coeff * x^xpow * product of the factor unknowns (0..2 factors)."""
-
-    coeff: int
-    xpow: int
-    factors: tuple[Label, ...]
-
-
-@dataclass(frozen=True)
 class SystemOfEquations:
+    """One (label, grouped terms) pair per equation.  The grouped form is
+    the one the solver evaluates: constants (coeff, xpow), linear terms
+    (coeff, xpow, label), and products keyed by (xpow, left factor) with
+    their (coeff, right factor) pairs, each in increasing (xpow, factors)
+    order."""
+
     rank: int
     symmetric: bool
     unknowns: tuple[Label, ...]
-    equations: tuple[tuple[Label, tuple[EquationTerm, ...]], ...]
+    equations: tuple[tuple[Label, tuple], ...]
 
     def render(self) -> str:
         """Readable text form, one equation per line."""
         lines = []
-        for lhs, terms in self.equations:
-            parts = []
-            for t in terms:
-                bits = []
-                if t.coeff != 1 or (t.xpow == 0 and not t.factors):
-                    bits.append(str(t.coeff))
-                if t.xpow == 1:
-                    bits.append("x")
-                elif t.xpow > 1:
-                    bits.append(f"x^{t.xpow}")
-                bits.extend(f"A[{i},{j}]" for i, j in t.factors)
-                parts.append("*".join(bits))
-            lines.append(f"A[{lhs[0]},{lhs[1]}] = " + " + ".join(parts))
+        for (i, j), (const, linear, quads) in self.equations:
+            terms = [(coeff, xp, ()) for coeff, xp in const]
+            terms += [(coeff, xp, (lab,)) for coeff, xp, lab in linear]
+            terms += [(c, xp, (left, right)) for (xp, left), items in quads for c, right in items]
+            lines.append(f"A[{i},{j}] = " + " + ".join(_render_term(*t) for t in terms))
         return "\n".join(lines)
 
 
-def _bag_to_terms(bag):
-    return tuple(
-        EquationTerm(coeff, xpow, factors)
-        for (xpow, factors), coeff in sorted(bag.items())
-        if coeff
-    )
+def _render_term(coeff, xpow, factors):
+    bits = [str(coeff)] if coeff != 1 or not (xpow or factors) else []
+    if xpow:
+        bits.append("x" if xpow == 1 else f"x^{xpow}")
+    bits.extend(f"A[{i},{j}]" for i, j in factors)
+    return "*".join(bits)
+
+
+def _grouped(terms):
+    """(coeff, xpow, factors) terms, equal ones merged and zero ones
+    dropped, in the grouped form of ``SystemOfEquations``."""
+    bag = {}
+    for coeff, xpow, factors in terms:
+        bag[xpow, factors] = bag.get((xpow, factors), 0) + coeff
+    const, linear, quads = [], [], {}
+    for (xpow, factors), coeff in sorted(bag.items()):
+        if not coeff:
+            continue
+        if not factors:
+            const.append((coeff, xpow))
+        elif len(factors) == 1:
+            linear.append((coeff, xpow, factors[0]))
+        else:
+            quads.setdefault((xpow, factors[0]), []).append((coeff, factors[1]))
+    quads = tuple((key, tuple(items)) for key, items in sorted(quads.items()))
+    return tuple(const), tuple(linear), quads
 
 
 def build_system(spec: WeightSpec, symmetric: bool = False) -> SystemOfEquations:
     """The quadratic system for the spec; see the module docstring.
 
-    With ``symmetric`` set (all-ones specs only) unknowns are the pairs
-    with i >= j, mirrored references are canonicalized, and merged terms
-    pick up integer coefficients.
+    With ``symmetric`` set (all-ones specs only) every label of the full
+    system is mirrored to i >= j, equal terms merge into integer
+    coefficients, and the last equation of each label is kept.
     """
     r = spec.rank
     if symmetric and not spec.is_all_ones:
@@ -99,59 +111,39 @@ def build_system(spec: WeightSpec, symmetric: bool = False) -> SystemOfEquations
             "the symmetric reduction relies on path reversal, which swaps "
             "up and down weights; it needs the all-ones spec"
         )
-
-    def canon(i, j):
-        if symmetric and j > i:
-            return (j, i)
-        return (i, j)
-
-    def add(bag, coeff, xpow, factors):
-        if coeff:
-            key = (xpow, tuple(factors))
-            bag[key] = bag.get(key, 0) + coeff
-
-    equations = []
+    up, down = spec.up, spec.down
 
     # 0 -> 0: empty path, level step first, or first return after an
     # up/down excursion.
-    bag = {}
-    add(bag, 1, 0, ())
-    add(bag, spec.level, 1, (canon(0, 0),))
-    for p in range(1, r + 1):
-        for q in range(1, r + 1):
-            add(
-                bag,
-                spec.up[p - 1] * spec.down[q - 1],
-                2,
-                (canon(0, 0), canon(p - 1, q - 1)),
-            )
-    equations.append(((0, 0), _bag_to_terms(bag)))
-
+    origin = [(1, 0, ()), (spec.level, 1, ((0, 0),))]
+    origin += [(up[p] * down[q], 2, ((0, 0), (p, q))) for p in range(r) for q in range(r)]
+    equations = [((0, 0), origin)]
     # i -> j for i >= 1: either never touches 0 (shift down one unit) or
     # splits at the first visit to 0.
     for i in range(1, r):
         for j in range(r):
-            if symmetric and (j > i or j == 0):
-                continue  # mirrored copy, or covered by the 0 -> i equation
-            bag = {}
-            if j >= 1:
-                add(bag, 1, 0, (canon(i - 1, j - 1),))
-            for q in range(1, r + 1):
-                add(bag, spec.down[q - 1], 1, (canon(0, j), canon(i - 1, q - 1)))
-            equations.append((canon(i, j), _bag_to_terms(bag)))
-
+            terms = [(1, 0, ((i - 1, j - 1),))] if j else []
+            terms += [(down[q], 1, ((0, j), (i - 1, q))) for q in range(r)]
+            equations.append(((i, j), terms))
     # 0 -> j for j >= 1: split at the last visit to 0.
     for j in range(1, r):
-        bag = {}
-        for p in range(1, r + 1):
-            add(bag, spec.up[p - 1], 1, (canon(0, 0), canon(p - 1, j - 1)))
-        equations.append((canon(0, j), _bag_to_terms(bag)))
+        equations.append(((0, j), [(up[p], 1, ((0, 0), (p, j - 1))) for p in range(r)]))
+    unknowns = tuple((i, j) for i in range(r) for j in range(r))
 
     if symmetric:
-        unknowns = tuple((i, j) for i in range(r) for j in range(i + 1))
-    else:
-        unknowns = tuple((i, j) for i in range(r) for j in range(r))
-    return SystemOfEquations(r, symmetric, unknowns, tuple(equations))
+        def canon(lab):
+            return max(lab), min(lab)
+
+        mirrored = [
+            (canon(lhs), [(c, xp, tuple(map(canon, f))) for c, xp, f in terms])
+            for lhs, terms in equations
+        ]
+        last = {lhs: k for k, (lhs, _) in enumerate(mirrored)}
+        equations = [eq for k, eq in enumerate(mirrored) if last[eq[0]] == k]
+        unknowns = tuple(lab for lab in unknowns if lab == canon(lab))
+    return SystemOfEquations(
+        r, symmetric, unknowns, tuple((lhs, _grouped(terms)) for lhs, terms in equations)
+    )
 
 
 @dataclass(frozen=True)
@@ -166,24 +158,6 @@ class SeriesFamily:
     def __getitem__(self, key) -> CoeffSeries:
         i, j = key
         return self.series[i, j]
-
-
-def _evaluation_plan(terms):
-    const = []
-    linear = []
-    quads = {}
-    for t in terms:
-        if len(t.factors) == 0:
-            const.append((t.coeff, t.xpow))
-        elif len(t.factors) == 1:
-            linear.append((t.coeff, t.xpow, t.factors[0]))
-        elif len(t.factors) == 2:
-            quads.setdefault((t.xpow, t.factors[0]), []).append(
-                (t.coeff, t.factors[1])
-            )
-        else:  # the builder never produces higher-degree terms
-            raise ValueError("terms with more than two factors are not supported")
-    return const, linear, sorted(quads.items())
 
 
 def _eval_plan(plan, values, t):
@@ -225,10 +199,7 @@ def solve_series(spec: WeightSpec, order: int, symmetric: bool = False) -> Serie
     """
     check_sizes("order", order, least=1)
     system = build_system(spec, symmetric=symmetric)
-    plans = sorted(
-        ((lhs, _evaluation_plan(terms)) for lhs, terms in system.equations),
-        key=lambda item: min(item[0]),
-    )
+    plans = sorted(system.equations, key=lambda item: min(item[0]))
     values = {lab: [] for lab in system.unknowns}
     for t in range(1, order + 1):
         for lhs, plan in plans:
@@ -259,8 +230,8 @@ def system_residual(system: SystemOfEquations, family: SeriesFamily, order=None)
     t = family.order if order is None else order
     values = {lab: list(family[lab].coeffs) for lab in system.unknowns}
     out = {}
-    for lhs, terms in system.equations:
-        rhs = _eval_plan(_evaluation_plan(terms), values, t)
+    for lhs, plan in system.equations:
+        rhs = _eval_plan(plan, values, t)
         out[lhs] = CoeffSeries([a - b for a, b in zip(values[lhs][:t], rhs)])
     return out
 

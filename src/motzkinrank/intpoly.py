@@ -35,8 +35,16 @@ def exact_from_json(v, kind=int):
     raise ValueError(f"expected an int or an exact {kind.__name__} string, got {v!r}")
 
 
+def _json_list(v) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
 def polys_from_json(polys) -> tuple:
-    return tuple(tuple(exact_from_json(v) for v in p) for p in polys)
+    """A list of coefficient lists of ``exact_from_json`` values; a
+    string or any other non-list at either level raises ValueError."""
+    return tuple(tuple(exact_from_json(v) for v in _json_list(p)) for p in _json_list(polys))
 
 
 def degree(p) -> int:

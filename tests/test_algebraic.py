@@ -87,6 +87,10 @@ def test_json_roundtrip():
         quad["y_degree"] = bad
         with pytest.raises(ValueError, match="expected an int"):
             AlgebraicEquation.from_json_dict(quad)
+    # A string is no coefficient list, at either level.
+    for bad in (["1", "11", "001"], [["1"], ["-1", "1"], "001"], "111", [["1"], 1]):
+        with pytest.raises(ValueError, match="expected a list"):
+            AlgebraicEquation.from_json_dict({"coeffs": bad})
 
 
 def test_str_rendering():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,43 @@ def test_bad_arguments_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [("--rank", "1", "--n", "x"), ("--rank", "x", "--n", "1")])
+def test_a_non_integer_reads_as_argparse_words_it(capsys, argv):
+    # --n takes a nonnegative int and --rank a positive one.
+    code, out, err = run(capsys, "count", *argv)
+    assert (code, out) == (2, "")
+    option = argv[0] if argv[1] == "x" else argv[2]
+    assert err.splitlines()[-1] == (
+        f"motzkinrank count: error: argument {option}: invalid int value: 'x'"
+    )
+
+
+def test_counts_past_the_int_string_limit_print_in_full(capsys):
+    # With weights 10^99 the count at n = 60 has 5,967 digits, past
+    # Python's default 4300-digit limit on int <-> str, which main lifts
+    # while it runs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    weight = "1" + "0" * 99
+    spec = f"{weight};{weight};{weight}"
+    terms = mr.count_sequence(mr.WeightSpec.parse(spec), 60)
+    code, out, _ = run(capsys, "count", "--weights", spec, "--n", "60")
+    assert code == 0
+    value = json.loads(out)["value"]
+    code, out, _ = run(capsys, "seq", "--weights", spec, "--n-max", "60")
+    assert code == 0
+    seq = json.loads(out)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(value) > 4300
+        assert value == str(terms[-1])
+        assert seq == [str(t) for t in terms]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_abbreviated_options_exit_2(capsys):
     # Only the full spelling of an option is accepted.
     assert run(capsys, "seq", "--rank", "1", "--n", "6")[0] == 2
@@ -221,7 +259,7 @@ def test_verify_algeq_below_the_x_degree_floor_exits_1(capsys):
     "argv, option, content, cause",
     [
         (("verify-algeq",), "--equation-file", '{"coeffs": 3}',
-         "TypeError: 'int' object is not iterable"),
+         "ValueError: expected a list, got 3"),
         (("verify-algeq",), "--equation-file", '{"y_degree": 2}', "KeyError: 'coeffs'"),
         (("verify-rec",), "--recurrence-file", '{"coeff_polys": [["1"]]}',
          "ValueError: a recurrence needs order at least 1"),
@@ -235,6 +273,11 @@ def test_verify_algeq_below_the_x_degree_floor_exits_1(capsys):
         (("verify-algeq",), "--equation-file",
          '{"y_degree": 2, "coeffs": [["1"], ["-1", "1"], [0, 0, 1.7]]}',
          "ValueError: expected an int or an exact int string, got 1.7"),
+        # A string was read as a list of one-digit coefficients.
+        (("verify-rec",), "--recurrence-file", '{"coeff_polys": ["12", "1"]}',
+         "ValueError: expected a list, got '12'"),
+        (("verify-algeq",), "--equation-file", '{"coeffs": ["1", "11", "001"]}',
+         "ValueError: expected a list, got '1'"),
     ],
 )
 def test_bad_input_file_exits_2_naming_the_file_and_the_cause(

@@ -140,6 +140,10 @@ def test_json_roundtrip():
             Recurrence.from_json_dict(data)
     with pytest.raises(ValueError, match="expected an int"):
         Recurrence.from_json_dict({"order": True, "coeff_polys": [["-3"], ["1"]]})
+    # A string is no coefficient list, at either level.
+    for bad in (["12", "1"], [["-3"], "1"], "123", {"0": ["1"]}, [["-3"], 1]):
+        with pytest.raises(ValueError, match="expected a list"):
+            Recurrence.from_json_dict({"coeff_polys": bad})
 
 
 def test_guess_recovers_motzkin(motzkin):
